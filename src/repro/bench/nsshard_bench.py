@@ -74,17 +74,19 @@ def metadata_point(n_shards: int, n_clients: int,
         c, f"/c{i:02d}", counters, t0 + duration))
         for i, c in enumerate(clients)]
 
+    events0 = dep.sim._nprocessed
     wall0 = time.perf_counter()
     run_until_done(dep.sim, procs, max_time=t0 + duration + 60.0)
     wall = max(time.perf_counter() - wall0, 1e-9)
+    events = dep.sim._nprocessed - events0
     sim_elapsed = dep.sim.now - t0
 
     redirects = sum(c.stats["ns_redirects"] for c in clients)
     return {
         "wall_s": round(wall, 4),
         "sim_time_s": round(sim_elapsed, 3),
-        "events": dep.sim._nprocessed,
-        "events_per_s": round(dep.sim._nprocessed / wall, 1),
+        "events": events,
+        "events_per_s": round(events / wall, 1),
         "ops": counters["ops"],
         "ops_per_s": round(counters["ops"] / wall, 1),
         "peak_pending": 0,

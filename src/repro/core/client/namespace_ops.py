@@ -1,18 +1,17 @@
 """Pathname operations against the namespace server(s) (Section 3.1).
 
-All routing — primary/standby failover, the legacy directory-tree
-partitioning variant, and the sharded namespace with redirect chasing —
-lives in :class:`repro.core.client.router.NamespaceRouter`; this mixin
-is the operation vocabulary on top of it.  Cross-shard rename/link run
-a two-phase commit over the owning shards' staged-mutation handlers.
+All routing — primary/standby failover and the sharded namespace with
+redirect chasing — lives in :class:`repro.core.client.router.NamespaceRouter`;
+this mixin is the operation vocabulary on top of it.  Cross-shard
+rename/link run a two-phase commit over the owning shards'
+staged-mutation handlers.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.client.handle import ConflictError
-from repro.core.client.router import _namespace_error  # noqa: F401  (compat)
 from repro.core.twophase import CommitAborted, two_phase_commit
 from repro.sim import gather
 
@@ -28,28 +27,11 @@ class NamespaceOpsMixin:
     """Namespace RPCs: lookup, create, directories, leases, milestones."""
 
     # ------------------------------------------------------------ routing
-    # Routing state lives on self.router; these properties keep the
-    # client's historical surface (tests and tools poke at them).
     @property
     def ns_host(self) -> str:
-        """The namespace server currently targeted (failover-aware)."""
-        return self.router.ns_hosts[self.router._active]
-
-    @property
-    def ns_hosts(self) -> List[str]:
-        return self.router.ns_hosts
-
-    @property
-    def _ns_active(self) -> int:
-        return self.router._active
-
-    @property
-    def ns_partitions(self) -> Optional[List[str]]:
-        return self.router.partitions
-
-    def _ns_for(self, payload) -> Optional[str]:
-        """Partitioned namespace routing: hash the top-level directory."""
-        return self.router.partition_for(payload)
+        """The namespace server the root currently routes to
+        (failover-aware)."""
+        return self.router.route_host("/")
 
     def _entry_key(self, path: str):
         """Entry-cache key: (shard-epoch, path), so a ring change
@@ -73,45 +55,25 @@ class NamespaceOpsMixin:
         return result
 
     def listdir(self, path: str):
-        fanout = None
-        if path == "/":
-            if self.router.sharded:
-                # The root spans every shard: ask each primary.
-                fanout = [hosts[0] for hosts in self.router.shards.values()]
-            elif self.ns_partitions is not None:
-                fanout = self.ns_partitions
-        if fanout is not None:
-            # The root spans every partition: fan out and merge.
+        if path == "/" and self.router.sharded:
+            # The root spans every shard: ask each primary and merge.
+            # Shard servers piggyback their shard-map snapshot on root
+            # listings (the one namespace op that cannot redirect) so a
+            # stale client discovers shards it has never been bounced to.
             def list_on(host):
-                names = yield from self.rpc.call(host, "ns_list", "/", size=64)
-                return names
+                reply = yield from self.rpc.call(host, "ns_list", "/", size=64)
+                return reply
 
+            fanout = [hosts[0] for hosts in self.router.shards.values()]
             parts = yield from gather(
                 self.sim, [list_on(h) for h in fanout])
-            merged = set()
-            best_epoch, best_shards = -1, None
-            for part in parts:
-                if isinstance(part, dict):
-                    # Sharded servers piggyback their shard-map snapshot
-                    # on root listings (the one namespace op that cannot
-                    # redirect) so a stale client discovers shards it
-                    # has never been bounced to.
-                    merged.update(part["names"])
-                    if part["epoch"] > best_epoch:
-                        best_epoch = part["epoch"]
-                        best_shards = part["shards"]
-                else:
-                    merged.update(part)
-            if best_shards is not None:
-                new = self.router.learn_shards(best_epoch, best_shards)
-                extra = [s for s in new if s not in fanout]
-                if extra:
-                    parts = yield from gather(
-                        self.sim, [list_on(h) for h in extra])
-                    for part in parts:
-                        merged.update(part["names"]
-                                      if isinstance(part, dict) else part)
-            return sorted(merged)
+            newest = max(parts, key=lambda part: part["epoch"])
+            new = self.router.learn_shards(newest["epoch"], newest["shards"])
+            extra = [s for s in new if s not in fanout]
+            if extra:
+                parts += yield from gather(
+                    self.sim, [list_on(h) for h in extra])
+            return sorted({name for part in parts for name in part["names"]})
         result = yield from self._call_ns("ns_list", path)
         return result
 
@@ -146,11 +108,11 @@ class NamespaceOpsMixin:
     def rename(self, src_path: str, dst_path: str):
         """Atomically move a file entry to a new path.
 
-        Same-shard (and unsharded/partitioned-same-server) renames are
-        one ``ns_rename`` RPC; when the two paths hash to different
-        namespace servers the move runs as a two-phase commit over both
-        shards' staged-mutation handlers, so either both the delete of
-        the old name and the insert of the new one land, or neither.
+        Same-shard (and unsharded) renames are one ``ns_rename`` RPC;
+        when the two paths hash to different namespace servers the move
+        runs as a two-phase commit over both shards' staged-mutation
+        handlers, so either both the delete of the old name and the
+        insert of the new one land, or neither.
         """
         src_target = self.router.route_host(src_path)
         dst_target = self.router.route_host(dst_path)

@@ -1,24 +1,27 @@
 """Client-side namespace routing: the metadata front door's core.
 
 Every namespace RPC a :class:`SorrentoClient` issues goes through one
-:class:`NamespaceRouter`, which supports three deployments:
+:class:`NamespaceRouter`.  The namespace is a set of primaries, each
+with an optional hot standby; the router supports two deployments of
+it:
 
+- **unsharded** — one primary (the paper's single server).  The route
+  is a constant: no route cache, no redirects, epoch 0.
 - **sharded** — the directory tree is partitioned across N shard
-  servers by top-level prefix on a consistent-hash ring.  The router
+  primaries by top-level prefix on a consistent-hash ring.  The router
   keeps its own ring snapshot plus a TTL'd route cache keyed by
   *(shard-epoch, prefix)*; when a ring change makes a cached route
   stale, the server's ``EWRONGSHARD`` redirect carries the owner and
   the new epoch, the router learns both, and the epoch in the cache key
   strands every stale entry at once (no redirect loops).
-- **partitioned** (legacy) — stateless hash of the top-level directory
-  over a fixed host list.
-- **single / failover** — one primary plus optional hot standbys,
-  rotating to the next host on RPC timeout.
+
+Either way a call resolves a primary and runs one failover loop over
+its ``[primary, standby]`` list, rotating to the next host on RPC
+timeout.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, Dict, List, Optional
 
 from repro.core.client.handle import (
@@ -63,32 +66,28 @@ def _namespace_error(error: str) -> SorrentoError:
 class NamespaceRouter:
     """Resolves the namespace server that owns a path and calls it.
 
-    ``shards`` maps shard name (the primary's hostid) to the failover
-    host list ``[primary, standby, ...]`` for that shard.  ``note`` is
-    the client's cache-stats hook (``route_hits`` / ``route_misses`` /
-    ``ns_redirects``).
+    ``shards`` maps each primary's hostid to its failover host list
+    ``[primary, standby]``; an unsharded namespace is the one-primary
+    case.  ``epoch`` is the shard map's epoch, 0 when unsharded.
+    ``note`` is the client's cache-stats hook (``route_hits`` /
+    ``route_misses`` / ``ns_redirects``).
     """
 
-    def __init__(self, rpc, sim, params, ns_hosts,
-                 partitions: Optional[List[str]] = None,
-                 shards: Optional[Dict[str, List[str]]] = None,
-                 epoch: int = 1,
+    def __init__(self, rpc, sim, params, shards: Dict[str, List[str]],
+                 epoch: int = 0,
                  note: Optional[Callable[..., None]] = None):
         self.rpc = rpc
         self.sim = sim
         self.params = params
-        self.ns_hosts: List[str] = ([ns_hosts] if isinstance(ns_hosts, str)
-                                    else list(ns_hosts))
-        self._active = 0
-        self.partitions = list(partitions) if partitions else None
         self.shards: Dict[str, List[str]] = {
-            name: list(hosts) for name, hosts in (shards or {}).items()
+            name: list(hosts) for name, hosts in shards.items()
         }
-        self.sharded = bool(self.shards)
         # Epoch 0 = unsharded (a constant, so epoch-composed cache keys
         # degenerate to plain path keys); sharded routers start at the
         # deployment's epoch and advance as redirects teach them.
-        self.epoch = epoch if self.sharded else 0
+        self.sharded = epoch > 0
+        self.epoch = epoch
+        self._primary = next(iter(self.shards))
         self._ring = HashRing(params.ns_shard_vnodes)
         self._route_cache = TtlCache(params.ns_route_cache_ttl,
                                      params.ns_route_cache_capacity)
@@ -100,27 +99,19 @@ class NamespaceRouter:
         self.mirror: Optional[str] = None
 
     # ------------------------------------------------------------ resolve
-    def partition_for(self, payload) -> Optional[str]:
-        """Legacy partitioned routing: hash the top-level directory."""
-        if self.partitions is None:
-            return None
-        path = payload if isinstance(payload, str) else payload.get("path", "")
-        top = path.split("/", 2)[1] if path.startswith("/") else path
-        idx = int.from_bytes(
-            hashlib.sha1(top.encode()).digest()[:4], "big"
-        ) % len(self.partitions)
-        return self.partitions[idx]
-
-    def owner_shard(self, path: str) -> Optional[str]:
-        """Best-known owning shard, bypassing the route cache (used for
-        same-shard vs cross-shard decisions); None when not sharded."""
+    def owner_shard(self, path: str) -> str:
+        """Best-known owning primary, bypassing the route cache (used
+        for same-shard vs cross-shard decisions)."""
         if not self.sharded:
-            return None
+            return self._primary
         return self._ring.home_host(_prefix_point(shard_prefix(path)),
                                     sorted(self.shards))
 
     def shard_for(self, path: str) -> str:
-        """Owning shard for ``path``, through the (epoch, prefix) cache."""
+        """Owning primary for ``path``, through the (epoch, prefix)
+        cache when sharded."""
+        if not self.sharded:
+            return self._primary
         prefix = shard_prefix(path)
         now = self.sim.now
         cached = self._route_cache.get((self.epoch, prefix), now)
@@ -135,14 +126,9 @@ class NamespaceRouter:
 
     def route_host(self, path: str) -> str:
         """The single host a path-addressed RPC would go to right now."""
-        if self.sharded:
-            shard = self.owner_shard(path)
-            hosts = self.shards.get(shard) or [shard]
-            return hosts[self._shard_active.get(shard, 0) % len(hosts)]
-        partition = self.partition_for(path)
-        if partition is not None:
-            return partition
-        return self.ns_hosts[self._active]
+        shard = self.owner_shard(path)
+        hosts = self.shards.get(shard) or [shard]
+        return hosts[self._shard_active.get(shard, 0) % len(hosts)]
 
     def learn(self, path: str, owner: Optional[str], epoch: int) -> None:
         """Absorb an ``EWRONGSHARD`` redirect: adopt the newer epoch
@@ -176,8 +162,10 @@ class NamespaceRouter:
 
     # --------------------------------------------------------------- call
     def call(self, service: str, payload, size: int = 64, rtts: int = 1):
-        """Issue one namespace RPC, routing/failing over/redirecting as
-        the deployment requires.  Raises the typed client errors."""
+        """Issue one namespace RPC: resolve the owning primary, fail over
+        to its standby on timeout, and chase ``EWRONGSHARD`` redirects
+        (only shard servers send them).  Raises the typed client
+        errors."""
         if self.mirror is not None and service in READ_ONLY:
             try:
                 result = yield from self.rpc.call(
@@ -198,42 +186,6 @@ class NamespaceRouter:
             else:
                 self._note("mirror_hits")
                 return result
-        if self.sharded:
-            result = yield from self._call_sharded(service, payload,
-                                                   size, rtts)
-            return result
-        partition = self.partition_for(payload)
-        if partition is not None:
-            try:
-                result = yield from self.rpc.call(
-                    partition, service, payload, size=size, rtts=rtts,
-                )
-                return result
-            except RpcRemoteError as exc:
-                if "NamespaceError" in exc.error:
-                    raise _namespace_error(exc.error) from exc
-                raise
-        last_exc = None
-        for _attempt in range(len(self.ns_hosts)):
-            try:
-                result = yield from self.rpc.call(
-                    self.ns_hosts[self._active], service, payload,
-                    size=size, rtts=rtts,
-                )
-                return result
-            except RpcRemoteError as exc:
-                if "NamespaceError" in exc.error:
-                    raise _namespace_error(exc.error) from exc
-                raise
-            except RpcTimeout as exc:
-                # Primary unreachable: fail over to the standby replica.
-                last_exc = exc
-                self._active = (self._active + 1) % len(self.ns_hosts)
-        raise TimeoutError(
-            f"namespace server unreachable: {last_exc}"
-        ) from last_exc
-
-    def _call_sharded(self, service: str, payload, size: int, rtts: int):
         path = payload if isinstance(payload, str) else payload.get("path", "")
         redirects = 0
         while True:
@@ -261,10 +213,10 @@ class NamespaceRouter:
                         break  # re-resolve against the repaired route
                     raise err from exc
                 except RpcTimeout as exc:
-                    # Shard primary unreachable: rotate to its standby.
+                    # Primary unreachable: rotate to its standby.
                     last_exc = exc
                     self._shard_active[shard] = (active + 1) % len(hosts)
             else:
                 raise TimeoutError(
-                    f"namespace shard {shard} unreachable: {last_exc}"
+                    f"namespace server {shard} unreachable: {last_exc}"
                 ) from last_exc

@@ -29,12 +29,11 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
     inside sim processes (``yield from client.open(...)``).
     """
 
-    def __init__(self, node, ns_host, params: Optional[SorrentoParams] = None,
+    def __init__(self, node, ns_shards: Dict[str, List[str]],
+                 params: Optional[SorrentoParams] = None,
                  rng: Optional[random.Random] = None,
                  membership: Optional[MembershipManager] = None,
-                 ns_partitions: Optional[List[str]] = None,
-                 ns_shards: Optional[Dict[str, List[str]]] = None,
-                 ns_shard_epoch: int = 1):
+                 ns_shard_epoch: int = 0):
         self.node = node
         self.sim = node.sim
         self.params = params or SorrentoParams()
@@ -43,13 +42,12 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
         self.rng = rng or random.Random(zlib.crc32(node.hostid.encode()) & 0xFFFFFF)
         self.rpc = node.runtime
         self.rpc.configure(policy=self.params.rpc_policy())
-        # All namespace routing — failover, legacy partitioning, and the
-        # sharded ring with redirect chasing — lives in the router.
-        # ns_host may be a single hostid or a failover list
-        # [primary, standby, ...] when namespace replication is on.
+        # All namespace routing — standby failover and the sharded ring
+        # with redirect chasing — lives in the router.  ns_shards maps
+        # each namespace primary to its [primary, standby] failover
+        # list; ns_shard_epoch is 0 for the unsharded namespace.
         self.router = NamespaceRouter(
-            self.rpc, self.sim, self.params, ns_host,
-            partitions=ns_partitions, shards=ns_shards,
+            self.rpc, self.sim, self.params, ns_shards,
             epoch=ns_shard_epoch, note=self._cache_note,
         )
         self.membership = membership or MembershipManager(

@@ -180,7 +180,6 @@ class NamespaceServer:
         self._staged: Dict[int, dict] = {}    # txid -> staged cross-shard tx
         self._flush_queue = Store(self.sim)
         self.ops_served = 0
-        self.standby: Optional[str] = None    # first hot-standby hostid
         self.standbys: List[_StandbyLink] = []
         self.shard_map: Optional[NamespaceShardMap] = None
         self.shard_name: Optional[str] = None
@@ -230,8 +229,6 @@ class NamespaceServer:
         scheduled WAN-replication mode satellite-tier mirrors use."""
         link = _StandbyLink(hostid, interval)
         self.standbys.append(link)
-        if interval is None and self.standby is None:
-            self.standby = hostid
         if interval is not None:
             self.node.spawn(self._batch_ship_loop(link),
                             name=f"ns-ship-{hostid}")

@@ -37,25 +37,15 @@ class SorrentoConfig:
     n_providers: Optional[int] = None   # cap exporting nodes used (paper's
     #                                     "each experiment may not use all")
     ns_on: Optional[str] = None         # hostid for the namespace server
-    ns_standby_on: Optional[str] = None  # hot-standby namespace replica
-    #                                      (the §3.1 availability extension)
-    ns_partitions_on: Optional[List[str]] = None  # directory-tree
-    #                                      partitioning: one namespace
-    #                                      server per listed host, each
-    #                                      owning a shard of the top-level
-    #                                      directories (§3.1's other
-    #                                      scaling approach)
     namespace_shards: int = 1           # >1: shard the namespace over the
     #                                      first N storage hosts (the routed
     #                                      metadata API; default off so the
     #                                      recorded goldens stay identical)
-    ns_shards_on: Optional[List[str]] = None  # explicit shard primary hosts
-    #                                      (overrides namespace_shards)
-    ns_shard_standbys_on: Optional[List[str]] = None  # per-shard standby
-    #                                      hosts, parallel to the shard list
-    ns_ship_interval: Optional[float] = None  # shard-standby WAL shipping:
-    #                                      None = hot (per-mutation),
-    #                                      a float = scheduled bulk batches
+    ns_shard_standbys_on: Optional[List[str]] = None  # one hot standby
+    #                                      per namespace primary, in
+    #                                      primary order (the unsharded
+    #                                      server is primary 0): the §3.1
+    #                                      availability extension
     partition: Optional["PartitionMap"] = None  # conservative-parallel
     #                                      model cut (repro.sim.parallel):
     #                                      installs the store-and-forward
@@ -126,15 +116,11 @@ class SorrentoDeployment:
                     announce=False,
                 )
 
-        # Sharded namespace: resolve the shard primary list first, since
-        # the default ns host becomes the first shard's primary.
-        shard_hosts = list(self.config.ns_shards_on or [])
-        if not shard_hosts and self.config.namespace_shards > 1:
-            shard_hosts = [s.name for s in
-                           storage_specs[:self.config.namespace_shards]]
-
-        # Namespace server: by default the first non-exporting node with a
-        # disk preference, else the first storage node.
+        # Namespace primaries: the first N storage hosts when sharded,
+        # else the one server (by default on the first storage node).
+        shard_hosts = ([s.name for s in
+                        storage_specs[:self.config.namespace_shards]]
+                       if self.config.namespace_shards > 1 else [])
         ns_host = self.config.ns_on
         if ns_host is None:
             ns_host = (shard_hosts[0] if shard_hosts
@@ -144,88 +130,28 @@ class SorrentoDeployment:
             raise ValueError(
                 "ns_on must name one of the shard hosts when the "
                 "namespace is sharded")
-        ns_node = self.nodes[ns_host]
-        if ns_node.fs is None:
-            raise ValueError(
-                f"namespace server host {ns_host} needs a local disk"
-            )
-        self.ns = NamespaceServer(ns_node, self.config.volume, self.params)
         self.ns_host = ns_host
-        self.ns_standby: Optional[NamespaceServer] = None
-        self.ns_hosts = [ns_host]
-        # Directory-tree partitioning: extra namespace servers, each
-        # owning the top-level directories that hash to it.
-        self.ns_partition_servers: Dict[str, NamespaceServer] = {}
-        self.ns_partition_hosts: Optional[List[str]] = None
-        if self.config.ns_partitions_on:
-            if self.config.ns_standby_on:
-                raise ValueError(
-                    "namespace partitioning and standby replication are "
-                    "separate deployments; pick one"
-                )
-            self.ns_partition_hosts = list(self.config.ns_partitions_on)
-            for host in self.ns_partition_hosts:
-                if host == ns_host:
-                    self.ns_partition_servers[host] = self.ns
-                    continue
-                pnode = self.nodes[host]
-                if pnode.fs is None:
-                    raise ValueError(
-                        f"namespace partition host {host} needs a disk")
-                self.ns_partition_servers[host] = NamespaceServer(
-                    pnode, self.config.volume, self.params)
-        if self.config.ns_standby_on is not None:
-            standby_node = self.nodes[self.config.ns_standby_on]
-            if standby_node.fs is None:
-                raise ValueError("namespace standby host needs a local disk")
-            self.ns_standby = NamespaceServer(
-                standby_node, self.config.volume, self.params)
-            self.ns.attach_standby(self.config.ns_standby_on)
-            self.ns_hosts.append(self.config.ns_standby_on)
-
-        # Sharded namespace: one server per shard primary (plus optional
-        # per-shard standbys), all sharing one authoritative shard map.
-        self.ns_shard_map: Optional[NamespaceShardMap] = None
+        # One server per primary, each with an optional hot standby.
+        # The shard map is None unless the namespace is sharded.
+        self.ns_shard_map: Optional[NamespaceShardMap] = (
+            NamespaceShardMap(shard_hosts, vnodes=self.params.ns_shard_vnodes)
+            if shard_hosts else None)
         self.ns_shard_servers: Dict[str, NamespaceServer] = {}
         self.ns_shard_standby_servers: Dict[str, NamespaceServer] = {}
-        self.ns_shards: Optional[Dict[str, List[str]]] = None
+        self.ns_shards: Dict[str, List[str]] = {}
         self.ns_mirrors: Dict[str, NamespaceServer] = {}
-        if shard_hosts:
-            if self.ns_partition_hosts or self.ns_standby is not None:
-                raise ValueError(
-                    "namespace sharding replaces the legacy partitioning/"
-                    "standby deployments; pick one"
-                )
-            self.ns_shard_map = NamespaceShardMap(
-                shard_hosts, vnodes=self.params.ns_shard_vnodes)
-            standbys = list(self.config.ns_shard_standbys_on or [])
-            self.ns_shards = {}
-            for i, host in enumerate(shard_hosts):
-                if host == ns_host:
-                    server = self.ns
-                else:
-                    snode = self.nodes[host]
-                    if snode.fs is None:
-                        raise ValueError(
-                            f"namespace shard host {host} needs a disk")
-                    server = NamespaceServer(
-                        snode, self.config.volume, self.params)
-                server.configure_shard(self.ns_shard_map, host)
-                self.ns_shard_servers[host] = server
-                self.ns_shards[host] = [host]
-                if i < len(standbys):
-                    sb_host = standbys[i]
-                    sb_node = self.nodes[sb_host]
-                    if sb_node.fs is None:
-                        raise ValueError(
-                            f"namespace shard standby {sb_host} needs a disk")
-                    sb = NamespaceServer(
-                        sb_node, self.config.volume, self.params)
-                    sb.configure_shard(self.ns_shard_map, host)
-                    server.attach_standby(
-                        sb_host, interval=self.config.ns_ship_interval)
-                    self.ns_shard_standby_servers[host] = sb
-                    self.ns_shards[host].append(sb_host)
+        standbys = list(self.config.ns_shard_standbys_on or [])
+        for i, host in enumerate(shard_hosts or [ns_host]):
+            server = self._namespace_server(host, host)
+            self.ns_shard_servers[host] = server
+            self.ns_shards[host] = [host]
+            if i < len(standbys):
+                sb_host = standbys[i]
+                self.ns_shard_standby_servers[host] = self._namespace_server(
+                    sb_host, host)
+                server.attach_standby(sb_host)
+                self.ns_shards[host].append(sb_host)
+        self.ns = self.ns_shard_servers[ns_host]
 
         # All exporting hosts, dormant or not: segment homes and preload
         # placement are functions of the *full* member list, which must be
@@ -245,18 +171,27 @@ class SorrentoDeployment:
             )
             self.memberships[name] = self.providers[name].membership
 
+    def _namespace_server(self, hostid: str, shard: str) -> NamespaceServer:
+        """A namespace server on ``hostid`` serving the primary
+        ``shard`` (as that primary or its standby)."""
+        node = self.nodes[hostid]
+        if node.fs is None:
+            raise ValueError(f"namespace host {hostid} needs a local disk")
+        server = NamespaceServer(node, self.config.volume, self.params)
+        if self.ns_shard_map is not None:
+            server.configure_shard(self.ns_shard_map, shard)
+        return server
+
     # ------------------------------------------------------------ clients
     def client_on(self, hostid: str) -> SorrentoClient:
         """A client stub running on the given node."""
         node = self.nodes[hostid]
         client = SorrentoClient(
-            node, self.ns_hosts, self.params,
+            node, self.ns_shards, self.params,
             rng=self.rngs.py(f"client:{hostid}:{len(self.clients)}"),
             membership=self.memberships.get(hostid),
-            ns_partitions=self.ns_partition_hosts,
-            ns_shards=self.ns_shards,
             ns_shard_epoch=(self.ns_shard_map.epoch
-                            if self.ns_shard_map is not None else 1),
+                            if self.ns_shard_map is not None else 0),
         )
         if hostid in self.ns_mirrors:
             # Geo-aware reads: a client co-located with a namespace
@@ -306,12 +241,7 @@ class SorrentoDeployment:
             raise ValueError("namespace sharding is not enabled")
         server = self.ns_shard_servers.get(hostid)
         if server is None:
-            node = self.nodes[hostid]
-            if node.fs is None:
-                raise ValueError(
-                    f"namespace shard host {hostid} needs a disk")
-            server = NamespaceServer(node, self.config.volume, self.params)
-            server.configure_shard(self.ns_shard_map, hostid)
+            server = self._namespace_server(hostid, hostid)
             self.ns_shard_servers[hostid] = server
             self.ns_shards[hostid] = [hostid]
         self.ns_shard_map.add_shard(hostid)
@@ -343,7 +273,7 @@ class SorrentoDeployment:
     def add_namespace_mirror(self, hostid: str,
                              interval: float) -> NamespaceServer:
         """A full-tree namespace mirror fed by scheduled bulk WAL
-        batches from every shard (or the single primary) — the
+        batches from every namespace primary — the
         satellite-tier metadata replica of the tiered topology.  The
         mirror is not a shard: it answers for any path, serving the
         (bounded-staleness) view the last batch shipped."""
@@ -351,9 +281,7 @@ class SorrentoDeployment:
         if node.fs is None:
             raise ValueError(f"namespace mirror host {hostid} needs a disk")
         mirror = NamespaceServer(node, self.config.volume, self.params)
-        sources = (list(self.ns_shard_servers.values())
-                   if self.ns_shard_servers else [self.ns])
-        for server in sources:
+        for server in self.ns_shard_servers.values():
             server.attach_standby(hostid, interval=interval)
         self.ns_mirrors[hostid] = mirror
         return mirror

@@ -135,10 +135,12 @@ def run_point(scenario: str, policy: str, *, n_providers: int = 6,
 
         procs = [dep.sim.process(job())]
 
+    events0 = dep.sim._nprocessed
     t_run = time.perf_counter()
     sim_start = dep.sim.now
     run_until_done(dep.sim, procs, max_time=dep.sim.now + 600.0)
     wall = time.perf_counter() - t_run
+    events = dep.sim._nprocessed - events0
     # Drain in-flight pre-stage transfers so every byte the scheduler
     # moved is counted before the row is read.
     drain_until = dep.sim.now + 120.0
@@ -166,8 +168,8 @@ def run_point(scenario: str, policy: str, *, n_providers: int = 6,
         "sim_s": round(dep.sim.now - sim_start, 3),
         "wall_s": round(time.perf_counter() - t_run, 3),
         "total_wall_s": round(time.perf_counter() - t_build, 3),
-        "events": dep.sim._nprocessed,
-        "events_per_s": round(dep.sim._nprocessed / max(wall, 1e-9), 1),
+        "events": events,
+        "events_per_s": round(events / max(wall, 1e-9), 1),
         "peak_rss_mb": round(peak_rss_mb(), 1),
     }
 

@@ -147,10 +147,12 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
         procs.append(dep.sim.process(_session(
             clients[i % N_CLIENT_STUBS], path, arrival, counters)))
 
+    events0 = dep.sim._nprocessed
     t_run = time.perf_counter()
     sim_start = dep.sim.now
     run_until_done(dep.sim, procs, max_time=dep.sim.now + duration + 300.0)
     wall = time.perf_counter() - t_run
+    events = dep.sim._nprocessed - events0
     sim_elapsed = dep.sim.now - sim_start
 
     return {
@@ -161,8 +163,8 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
         "sim_s": round(sim_elapsed, 3),
         "wall_s": round(wall, 3),
         "sim_per_wall": round(sim_elapsed / max(wall, 1e-9), 3),
-        "events": dep.sim._nprocessed,
-        "events_per_s": round(dep.sim._nprocessed / max(wall, 1e-9), 1),
+        "events": events,
+        "events_per_s": round(events / max(wall, 1e-9), 1),
         "preload_wall_s": round(preload_wall, 3),
         "total_wall_s": round(time.perf_counter() - t_build, 3),
         "peak_rss_mb": round(peak_rss_mb(), 1),

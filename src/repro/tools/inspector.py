@@ -85,12 +85,9 @@ class ClusterInspector:
 
     # ------------------------------------------------------------ orphans
     def _namespace_dbs(self):
-        """Every authoritative namespace DB: all shards, or the single
-        server (mirrors are excluded — they are replicas, not truth)."""
-        shard_servers = getattr(self.dep, "ns_shard_servers", None)
-        if shard_servers:
-            return [srv.db for srv in shard_servers.values()]
-        return [self.dep.ns.db]
+        """Every authoritative namespace DB, one per primary (standbys
+        and mirrors are excluded — they are replicas, not truth)."""
+        return [srv.db for srv in self.dep.ns_shard_servers.values()]
 
     def referenced_segments(self) -> Set[int]:
         """Every SegID reachable from the namespace (index + data)."""
@@ -244,13 +241,13 @@ class ClusterInspector:
         shipping, mirrors, and how often clients were redirected.
 
         Works for every deployment shape; ``sharded`` is False for the
-        classic single-server (or legacy-partitioned) namespace.
+        classic single-server namespace (reported as its one shard).
         """
         dep = self.dep
-        shard_servers = getattr(dep, "ns_shard_servers", None) or {}
-        shard_map = getattr(dep, "ns_shard_map", None)
+        servers = dep.ns_shard_servers
+        shard_map = dep.ns_shard_map
         report: Dict[str, object] = {
-            "sharded": bool(shard_servers),
+            "sharded": shard_map is not None,
             "epoch": shard_map.epoch if shard_map is not None else 0,
             "shards": {},
             "mirrors": {},
@@ -261,7 +258,6 @@ class ClusterInspector:
             "route_misses": sum(c.stats.get("route_misses", 0)
                                 for c in dep.clients),
         }
-        servers = shard_servers or {dep.ns_host: dep.ns}
         active = (set(shard_map.shards) if shard_map is not None
                   else set(servers))
         for host, srv in sorted(servers.items()):
@@ -274,7 +270,7 @@ class ClusterInspector:
                 "shipped_batches": srv.shipped_batches,
                 "staged_txns": len(srv._staged),
             }
-        for host, mirror in getattr(dep, "ns_mirrors", {}).items():
+        for host, mirror in dep.ns_mirrors.items():
             report["mirrors"][host] = {
                 "entries": len(mirror.db),
                 "applied_seq": mirror.applied_seq,

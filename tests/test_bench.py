@@ -3,6 +3,8 @@ and the BENCH_*.json trajectory machinery computes headlines."""
 
 import json
 
+import pytest
+
 from repro.bench import append_entry, bench_entry, run_kernel_suite
 from repro.bench.macro_bench import run_macro_suite
 
@@ -23,6 +25,42 @@ def test_macro_suite_smoke():
     results = run_macro_suite(smoke=True, repeat=1, verbose=False)
     assert "fig10_reduced" in results
     assert results["fig10_reduced"]["events"] > 0
+
+
+WINDOW_POINTS = {
+    "nsshard": ("repro.bench.nsshard_bench",
+                lambda m: m.metadata_point(1, 2, duration=0.5)),
+    "scale": ("repro.experiments.scale",
+              lambda m: m.run_point(n_providers=8, n_files=32,
+                                    n_sessions=8, duration=1.0, seed=1)),
+    "compute": ("repro.experiments.compute",
+                lambda m: m.run_point("map_scan", "locality", n_providers=4,
+                                      n_files=4, file_mb=1)),
+}
+
+
+@pytest.mark.parametrize("point", sorted(WINDOW_POINTS))
+def test_rows_count_only_the_measured_window_events(point, monkeypatch):
+    """A row's ``events`` (and so ``events_per_s``) is the kernel
+    counter's increase across the wall-timed window, not the whole run's
+    count with cluster formation and warm-up folded in."""
+    import importlib
+
+    name, run = WINDOW_POINTS[point]
+    module = importlib.import_module(name)
+    window = {}
+    real = module.run_until_done
+
+    def spy(sim, procs, **kwargs):
+        window["before"] = sim._nprocessed
+        result = real(sim, procs, **kwargs)
+        window["after"] = sim._nprocessed
+        return result
+
+    monkeypatch.setattr(module, "run_until_done", spy)
+    row = run(module)
+    assert window["before"] > 0     # set-up ran events of its own
+    assert row["events"] == window["after"] - window["before"]
 
 
 def test_append_entry_builds_headline(tmp_path):

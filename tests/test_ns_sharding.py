@@ -13,11 +13,18 @@ from hypothesis import strategies as st
 
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
-from repro.core.client import ConflictError, WrongShardError
+from repro.core.client import (
+    CommitConflict,
+    ConflictError,
+    SorrentoError,
+    WrongShardError,
+)
 from repro.core.client.router import _namespace_error
 from repro.core.namespace import NamespaceShardMap, shard_prefix
 from repro.core.params import SorrentoParams
+from repro.experiments.common import run_until_done
 from repro.faults import FaultController, FaultPlan, NodeCrash
+from repro.runtime import CACHE, CLIENT
 
 MB = 1 << 20
 
@@ -106,6 +113,89 @@ def test_sharded_deployment_routes_and_merges_root_listing():
     assert all(c > 0 for c in counts), counts
     # No stale routes at steady state: the snapshot ring matches the map.
     assert sum(c.stats["ns_redirects"] for c in dep.clients) == 0
+
+
+def test_unsharded_router_is_a_pass_through():
+    """One primary: the route is a constant, so the router never touches
+    its route cache or chases a redirect, and records nothing for them
+    (the default path's RPC schedule and counters stay as they were)."""
+    dep = deploy(n_shards=1)
+    client = dep.client_on("c00")
+
+    def work():
+        for i in range(4):
+            fh = yield from client.open(f"/pt{i}", "w", create=True)
+            yield from client.write(fh, 0, 4096)
+            yield from client.close(fh)
+
+    dep.run(work())
+    assert dep.ns_shard_map is None and client.router.epoch == 0
+    assert dep.metrics.get(CLIENT, "ns_create").calls == 4
+    for counter in ("route_hits", "route_misses", "ns_redirects"):
+        assert dep.metrics.get(CACHE, counter) is None, counter
+
+
+def test_full_file_lifecycle_under_sharding():
+    dep = deploy(n_shards=2)
+    client = dep.client_on("c00")
+
+    def work():
+        yield from client.mkdir("/p")
+        fh = yield from client.open("/p/file", "w", create=True)
+        yield from client.write(fh, 0, 1 * MB)
+        v = yield from client.close(fh)
+        assert v == 1
+        rfh = yield from client.open("/p/file", "r")
+        yield from client.read(rfh, 0, 64 * 1024)
+        yield from client.close(rfh)
+        yield from client.unlink("/p/file")
+        with pytest.raises(SorrentoError):
+            yield from client.open("/p/file", "r")
+
+    dep.run(work())
+
+
+def test_commit_arbitration_stays_per_shard():
+    """Conflicts are still detected: both writers reach the same shard."""
+    dep = deploy(n_shards=2)
+    a, b = dep.client_on("c00"), dep.client_on("c01")
+
+    def scenario():
+        fh = yield from a.open("/racef", "w", create=True)
+        yield from a.write(fh, 0, 128)
+        yield from a.close(fh)
+        fa = yield from a.open("/racef", "w")
+        fb = yield from b.open("/racef", "w")
+        yield from a.write(fa, 0, 128)
+        yield from a.close(fa)
+        try:
+            yield from b.write(fb, 0, 128)
+            yield from b.close(fb)
+        except CommitConflict:
+            return "conflict"
+        return "none"
+
+    assert dep.run(scenario()) == "conflict"
+
+
+def test_sharding_spreads_namespace_load():
+    """Sharding splits the op stream (and its WAL/disk load) across the
+    primaries.  (Throughput only improves once one server saturates,
+    which takes far more clients than this test runs; the property
+    checked here is the load split.)"""
+    dep = deploy(n_shards=2)
+    clients = [dep.client_on(f"c0{i}") for i in range(2)]
+
+    def hammer(c, tag):
+        for i in range(60):
+            yield from c.mkdir(f"/{tag}x{i}")
+
+    procs = [dep.sim.process(hammer(c, f"t{j}"))
+             for j, c in enumerate(clients)]
+    run_until_done(dep.sim, procs)
+    served = [srv.ops_served for srv in dep.ns_shard_servers.values()]
+    assert sum(served) >= 120
+    assert min(served) > 0.25 * sum(served), served
 
 
 def test_split_redirects_and_epoch_adoption():
