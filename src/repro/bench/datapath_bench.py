@@ -39,9 +39,10 @@ NOCACHE = {
 }
 
 
-def _datapath_row(dep, wall: float, ops: int, peak: int) -> Dict:
+def _datapath_row(dep, wall: float, ops: int, peak: int,
+                  events: int) -> Dict:
     """The standard stats row plus the RPC/cache counters under test."""
-    row = stats(dep.sim, wall, ops, peak)
+    row = stats(dep.sim, wall, ops, peak, events=events)
 
     def calls(svc: str) -> int:
         st = dep.metrics.get("client", svc)
@@ -93,9 +94,8 @@ def locate_storm(cached: bool = True, n_clients: int = 4, rounds: int = 6,
     t0 = time.perf_counter()
     peak = drive_procs(dep.sim, procs)
     wall = time.perf_counter() - t0
-    dep.sim._nprocessed -= base_events
-    row = _datapath_row(dep, wall, counter[0], peak)
-    dep.sim._nprocessed += base_events
+    row = _datapath_row(dep, wall, counter[0], peak,
+                        dep.sim._nprocessed - base_events)
     row["rpcs_per_read"] = round(row["data_path_rpcs"] / max(counter[0], 1), 2)
     return row
 
@@ -135,8 +135,7 @@ def stripe_readwrite(cached: bool = True, n_clients: int = 2,
     t0 = time.perf_counter()
     peak = drive_procs(dep.sim, procs)
     wall = time.perf_counter() - t0
-    dep.sim._nprocessed -= base_events
-    row = _datapath_row(dep, wall, counter[0], peak)
-    dep.sim._nprocessed += base_events
+    row = _datapath_row(dep, wall, counter[0], peak,
+                        dep.sim._nprocessed - base_events)
     row["rpcs_per_io"] = round(row["data_path_rpcs"] / max(counter[0], 1), 2)
     return row

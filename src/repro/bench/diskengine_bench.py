@@ -43,9 +43,10 @@ ENGINE = {
 }
 
 
-def _disk_row(dep, wall: float, ops: int, peak: int, sim_elapsed: float) -> Dict:
+def _disk_row(dep, wall: float, ops: int, peak: int, sim_elapsed: float,
+              events: int) -> Dict:
     """The standard stats row plus the engine counters under test."""
-    row = stats(dep.sim, wall, ops, peak)
+    row = stats(dep.sim, wall, ops, peak, events=events)
     row["sim_ms_per_op"] = round(1e3 * sim_elapsed / max(ops, 1), 3)
     keys = ("cache_hits", "cache_misses", "writes_absorbed", "coalesced",
             "readahead_pages", "flush_batches", "flush_pages",
@@ -97,10 +98,8 @@ def smallfile_churn(cached: bool = True, n_clients: int = 2, rounds: int = 6,
     t0 = time.perf_counter()
     peak = drive_procs(dep.sim, procs)
     wall = time.perf_counter() - t0
-    dep.sim._nprocessed -= base_events
-    row = _disk_row(dep, wall, counter[0], peak, dep.sim.now - sim0)
-    dep.sim._nprocessed += base_events
-    return row
+    return _disk_row(dep, wall, counter[0], peak, dep.sim.now - sim0,
+                     dep.sim._nprocessed - base_events)
 
 
 def flush_storm(cached: bool = True, n_clients: int = 2, writes: int = 48,
@@ -140,7 +139,5 @@ def flush_storm(cached: bool = True, n_clients: int = 2, writes: int = 48,
     t0 = time.perf_counter()
     peak = drive_procs(dep.sim, procs)
     wall = time.perf_counter() - t0
-    dep.sim._nprocessed -= base_events
-    row = _disk_row(dep, wall, counter[0], peak, dep.sim.now - sim0)
-    dep.sim._nprocessed += base_events
-    return row
+    return _disk_row(dep, wall, counter[0], peak, dep.sim.now - sim0,
+                     dep.sim._nprocessed - base_events)

@@ -64,14 +64,21 @@ def drive_procs(sim, procs, sample_every: int = 4096) -> int:
     return peak
 
 
-def stats(sim, wall: float, ops: int, peak: int) -> Dict:
-    """The per-benchmark result row recorded in BENCH_*.json."""
+def stats(sim, wall: float, ops: int, peak: int,
+          events: Optional[int] = None) -> Dict:
+    """The per-benchmark result row recorded in BENCH_*.json.
+
+    ``events`` is the wall-timed window's own event count; left out, the
+    kernel's whole-run counter is used (right only when nothing ran
+    before the window)."""
     wall = max(wall, 1e-9)
+    if events is None:
+        events = sim._nprocessed
     return {
         "wall_s": round(wall, 4),
         "sim_time_s": round(sim.now, 6),
-        "events": sim._nprocessed,
-        "events_per_s": round(sim._nprocessed / wall, 1),
+        "events": events,
+        "events_per_s": round(events / wall, 1),
         "ops": ops,
         "ops_per_s": round(ops / wall, 1),
         "peak_pending": peak,

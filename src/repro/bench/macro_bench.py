@@ -38,10 +38,8 @@ def reduced_fig10(n_clients: int = 6, duration: float = 8.0,
     t0 = time.perf_counter()
     peak = drive_procs(dep.sim, procs)
     wall = time.perf_counter() - t0
-    # Report only the measured window's events, not deployment warm-up.
-    dep.sim._nprocessed -= base_events
-    row = stats(dep.sim, wall, counter[0], peak)
-    dep.sim._nprocessed += base_events
+    row = stats(dep.sim, wall, counter[0], peak,
+                events=dep.sim._nprocessed - base_events)
     row["sessions"] = counter[0]
     row["sessions_per_sim_s"] = round(counter[0] / duration, 1)
     return row
@@ -59,12 +57,12 @@ def run_macro_suite(smoke: bool = False, repeat: int = 1,
         benches = {
             "fig10_reduced": lambda: reduced_fig10(
                 n_clients=2, duration=1.5, n_storage=4),
-            # Partitioned twin: same workload cut across 2 event loops
-            # (in-process backend; a large cross-latency keeps the
-            # window count CI-friendly at smoke scale).
+            # Partitioned twin: same workload cut across 2 forked event
+            # loops (a large cross-latency keeps the window count
+            # CI-friendly at smoke scale).
             "fig10_reduced_parallel": lambda: run_fig10_partitioned(
                 n_clients=2, duration=1.5, n_storage=4, workers=2,
-                backend="inproc", cross_latency=5e-3),
+                backend="mp", cross_latency=5e-3),
             "locate_storm": lambda: locate_storm(
                 n_clients=2, rounds=2, reads_per_round=8, n_storage=4),
             "locate_storm_nocache": lambda: locate_storm(

@@ -39,7 +39,6 @@ from repro.experiments.scale import QUICK_POINTS, SCALE_POINTS
 # ------------------------------------------------------------ scale points
 def _run_point_subprocess(n_providers: int, n_files: int, n_sessions: int,
                           duration: float, seed: int = 0, workers: int = 0,
-                          backend: str = "mp",
                           smoke_preload: bool = False) -> Dict:
     """One scale point in a child process; returns its JSON metrics row.
 
@@ -51,7 +50,7 @@ def _run_point_subprocess(n_providers: int, n_files: int, n_sessions: int,
            "--sessions", str(n_sessions), "--duration", str(duration),
            "--seed", str(seed), "--json"]
     if workers:
-        cmd += ["--workers", str(workers), "--backend", backend]
+        cmd += ["--workers", str(workers)]
     if smoke_preload:
         cmd += ["--smoke-preload"]
     proc = subprocess.run(cmd, capture_output=True, text=True)

@@ -7,11 +7,11 @@ scale suite and the reduced Figure-10 benchmark as *partition programs*
 cluster plus a phase list the coordinator drives under conservative
 windows.
 
-The same builder serves every backend.  With ``local_pid=None`` it
+The same builder serves both backends.  With ``local_pid=None`` it
 builds the whole model in one Simulator: the serial reference execution
-of the *partitioned* model, against which the ``inproc`` and ``mp``
-backends must be bit-identical (same seed, same partition map).  Every
-builder therefore follows two rules:
+of the *partitioned* model, against which the ``mp`` backend must be
+bit-identical (same seed, same partition map).  Every builder therefore
+follows two rules:
 
 * **Construct everything everywhere.**  Each worker builds the full
   deployment — remote hosts as dormant shells — so construction order
@@ -35,23 +35,19 @@ from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.params import SorrentoParams
 from repro.experiments.common import cluster_a_like
 from repro.experiments.scale_model import (
-    ARRIVAL_BINS,
     FILE_SIZE,
     N_CLIENT_STUBS,
     N_TENANTS,
     READ_SIZE,
-    ZIPF_S,
-    _diurnal_cum_weights,
     _tenant_file,
-    _zipf_cum_weights,
     files_per_tenant,
     scale_params,
+    session_plan,
 )
 from repro.sim.parallel import (
     DEFAULT_CROSS_LATENCY,
     PartitionMap,
     plan_partitions,
-    refine,
     run_partitioned,
 )
 from repro.workloads.smallfile import session_loop
@@ -158,21 +154,13 @@ def build_scale_program(point, seed, smoke_preload, pmap,
 
     def _sessions(prog):
         d = prog.dep
-        rng = d.rngs.py("scale-sessions")
         clients = d.clients_on_compute(N_CLIENT_STUBS)
-        tenant_cum = _zipf_cum_weights(N_TENANTS, ZIPF_S)
-        diurnal_cum = _diurnal_cum_weights(ARRIVAL_BINS)
-        tenants = rng.choices(range(N_TENANTS), cum_weights=tenant_cum,
-                              k=n_sessions)
-        arrival_bins = rng.choices(range(ARRIVAL_BINS),
-                                   cum_weights=diurnal_cum, k=n_sessions)
+        # The whole plan is drawn before the ownership filter, so the
+        # stream position is identical on every worker.
+        plan = session_plan(d.rngs.py("scale-sessions"), n_sessions, fpt,
+                            duration)
         procs = []
-        for i in range(n_sessions):
-            # Draws first, ownership filter second: the stream position
-            # after session i is identical on every worker.
-            path = _tenant_file(tenants[i], rng.randrange(fpt))
-            arrival = (arrival_bins[i] + rng.random()) \
-                * (duration / ARRIVAL_BINS)
+        for i, (path, arrival) in enumerate(plan):
             client = clients[i % N_CLIENT_STUBS]
             if client.node.dormant:
                 continue
@@ -193,13 +181,15 @@ def run_scale_point_partitioned(n_providers: int, n_files: int,
                                 seed: int = 0, workers: int = 2,
                                 backend: str = "mp",
                                 cross_latency: Optional[float] = None,
-                                adapt: bool = False,
                                 smoke_preload: bool = False,
                                 ) -> Dict[str, object]:
     """One scale point under the partitioned kernel; returns a metrics
     row shaped like :func:`repro.experiments.scale.run_point`'s, plus
     the parallel-run diagnostics (windows, barrier wall, per-worker
-    busy wall and event counts, shipped records, equivalence digest)."""
+    busy wall and event counts, shipped records, equivalence digest).
+
+    ``backend="serial"`` runs the same partitioned model in one process:
+    the oracle whose digest the default ``"mp"`` run must reproduce."""
     t_build = time.perf_counter()
     params = scale_params(n_providers)
     spec = small_cluster(n_providers, n_compute=N_CLIENT_STUBS + 4,
@@ -209,18 +199,6 @@ def run_scale_point_partitioned(n_providers: int, n_files: int,
     pmap = partition_for_spec(spec, workers, cross_latency=xlat)
     warm = params.join_refresh_delay_max + 1.0
     phase_meta = [("until", warm), ("call", None), ("procs", None)]
-    moves = 0
-    if adapt and workers > 1:
-        # Self-clustering: a short serial probe of the same partitioned
-        # model yields the cross-edge traffic matrix; refine() migrates
-        # the chattering hosts before the real (possibly forked) run.
-        probe_point = (n_providers, n_files,
-                       max(64, n_sessions // 8), min(2.0, duration))
-        probe = run_partitioned(
-            build_scale_program, (probe_point, seed, True, pmap), pmap,
-            phase_meta, backend="serial", fabric_latency=spec.latency)
-        pmap, moves = refine(pmap, probe["traffic_out"],
-                             probe["traffic_in"])
     point = (n_providers, n_files, n_sessions, duration)
     out = run_partitioned(
         build_scale_program, (point, seed, smoke_preload, pmap), pmap,
@@ -229,7 +207,7 @@ def run_scale_point_partitioned(n_providers: int, n_files: int,
     meas = stats.phase_log[2]
     sim_elapsed = meas["t_end"] - meas["t_start"]
     wall = max(meas["wall_s"], 1e-9)
-    events = sum(stats.events)
+    events = meas["events"]
     rows = sorted(r for res in out["results"] for r in res["rows"])
     return {
         "providers": n_providers,
@@ -258,7 +236,6 @@ def run_scale_point_partitioned(n_providers: int, n_files: int,
         "barrier_wall_s": round(stats.barrier_wall_s, 3),
         "busy_wall_s": [round(b, 3) for b in stats.busy_wall_s],
         "worker_events": stats.events,
-        "refine_moves": moves,
         "digest": _digest(rows),
     }
 
@@ -321,7 +298,7 @@ def run_fig10_partitioned(n_clients: int = 6, duration: float = 8.0,
         tags.update(r["tags"])
     meas = stats.phase_log[2]
     wall = max(meas["wall_s"], 1e-9)
-    events = sum(stats.events)
+    events = meas["events"]
     return {
         "wall_s": round(wall, 4),
         "sim_time_s": round(meas["t_end"], 6),

@@ -21,12 +21,11 @@ Runs standalone::
 
     python -m repro.experiments.scale [--quick] [--point N]
         [--files F] [--sessions S] [--duration D] [--json]
-        [--workers N] [--backend mp|inproc|serial] [--adapt]
-        [--smoke-preload] [--cross-latency S]
+        [--workers N] [--smoke-preload] [--cross-latency S]
         [--budget-wall S] [--budget-rss-mb M]
 
 ``--workers N`` runs the point on the conservative-parallel kernel:
-the cluster is partitioned across N event loops (see
+the cluster is partitioned across N forked worker event loops (see
 ``repro.sim.parallel`` and ``repro.experiments.partitioned``).
 
 ``--json`` prints one machine-readable result dict per point (used by
@@ -47,18 +46,15 @@ from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.experiments.common import format_table, run_until_done
 from repro.experiments.scale_model import (
-    ARRIVAL_BINS,
     SMOKE_FILES_PER_TENANT,
     FILE_SIZE,
     N_CLIENT_STUBS,
     N_TENANTS,
     READ_SIZE,
-    ZIPF_S,
-    _diurnal_cum_weights,
     _tenant_file,
-    _zipf_cum_weights,
     files_per_tenant,
     scale_params,
+    session_plan,
 )
 
 KB = 1 << 10
@@ -129,23 +125,13 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
 
     # Thousands of sessions: Zipf tenant skew, diurnal arrival wave,
     # multiplexed over a fixed pool of client stubs.
-    rng = dep.rngs.py("scale-sessions")
     clients = dep.clients_on_compute(N_CLIENT_STUBS)
-    tenant_cum = _zipf_cum_weights(N_TENANTS, ZIPF_S)
-    bins = ARRIVAL_BINS
-    diurnal_cum = _diurnal_cum_weights(bins)
-    tenants = rng.choices(range(N_TENANTS), cum_weights=tenant_cum,
-                          k=n_sessions)
-    arrival_bins = rng.choices(range(bins), cum_weights=diurnal_cum,
-                               k=n_sessions)
     counters = {"done": 0, "failed": 0}
-    procs = []
-    for i in range(n_sessions):
-        path = _tenant_file(tenants[i],
-                            rng.randrange(fpt))
-        arrival = (arrival_bins[i] + rng.random()) * (duration / bins)
-        procs.append(dep.sim.process(_session(
-            clients[i % N_CLIENT_STUBS], path, arrival, counters)))
+    plan = session_plan(dep.rngs.py("scale-sessions"), n_sessions, fpt,
+                        duration)
+    procs = [dep.sim.process(_session(
+        clients[i % N_CLIENT_STUBS], path, arrival, counters))
+        for i, (path, arrival) in enumerate(plan)]
 
     events0 = dep.sim._nprocessed
     t_run = time.perf_counter()
@@ -173,16 +159,14 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
 
 def run(points: Optional[Sequence[Tuple[int, int, int, float]]] = None,
         quick: bool = False, seed: int = 0, smoke_preload: bool = False,
-        workers: int = 0, backend: str = "mp", adapt: bool = False,
+        workers: int = 0,
         cross_latency: Optional[float] = None) -> Dict[int, Dict[str, float]]:
     """Returns {n_providers: metrics row}.
 
     With ``workers > 0`` each point runs on the conservative-parallel
     kernel (``repro.experiments.partitioned``): the cluster is cut into
-    ``workers`` partitions along the planned switch boundaries and
-    driven by the chosen backend (``mp`` forks one process per
-    partition; ``inproc``/``serial`` are the single-process reference
-    executions of the same partitioned model).
+    ``workers`` partitions along the planned switch boundaries, one
+    forked process per partition.
     """
     if points is None:
         points = QUICK_POINTS if quick else SCALE_POINTS
@@ -194,8 +178,8 @@ def run(points: Optional[Sequence[Tuple[int, int, int, float]]] = None,
             )
             results[n_providers] = run_scale_point_partitioned(
                 n_providers, n_files, n_sessions, duration, seed=seed,
-                workers=workers, backend=backend, adapt=adapt,
-                cross_latency=cross_latency, smoke_preload=smoke_preload)
+                workers=workers, cross_latency=cross_latency,
+                smoke_preload=smoke_preload)
         else:
             results[n_providers] = run_point(
                 n_providers, n_files, n_sessions, duration, seed=seed,
@@ -244,16 +228,8 @@ def _cli(argv=None) -> int:
     parser.add_argument("--duration", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=0,
-                        help="partition the model across N worker event "
-                             "loops (0 = classic single-loop run)")
-    parser.add_argument("--backend", default="mp",
-                        choices=("mp", "inproc", "serial"),
-                        help="parallel backend: forked processes, "
-                             "round-robin in-process loops, or the serial "
-                             "reference execution of the partitioned model")
-    parser.add_argument("--adapt", action="store_true",
-                        help="self-clustering: refine the partition map "
-                             "from a short serial traffic probe first")
+                        help="partition the model across N forked worker "
+                             "event loops (0 = classic single-loop run)")
     parser.add_argument("--cross-latency", type=float, default=None,
                         help="extra one-way seconds on cut edges "
                              "(default: repro.sim.parallel uplink model)")
@@ -281,7 +257,6 @@ def _cli(argv=None) -> int:
 
     results = run(points=points, seed=args.seed,
                   smoke_preload=args.smoke_preload, workers=args.workers,
-                  backend=args.backend, adapt=args.adapt,
                   cross_latency=args.cross_latency)
     if args.json:
         for n in sorted(results):

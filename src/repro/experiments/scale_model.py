@@ -4,15 +4,16 @@
 `repro.experiments.partitioned` (the conservative-parallel driver) must
 build byte-identical workloads — same tenant population, same Zipf and
 diurnal weights, same cluster tunables — or the determinism contract
-between them is meaningless.  The shared constants and pure helpers
-live here so neither driver imports the other (the serial driver lazily
-dispatches *to* the parallel one; the reverse edge would be a cycle).
+between them is meaningless.  The shared constants, helpers and
+session plan live here so neither driver imports the other (the serial
+driver lazily dispatches *to* the parallel one; the reverse edge would
+be a cycle).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Tuple
 
 from repro.core.params import SorrentoParams
 
@@ -92,3 +93,25 @@ def _diurnal_cum_weights(bins: int) -> List[float]:
         total += max(rate, 0.05)
         cum.append(total)
     return cum
+
+
+def session_plan(rng, n_sessions: int, fpt: int,
+                 duration: float) -> List[Tuple[str, float]]:
+    """The measured sessions as ``(path, arrival delay)`` pairs.
+
+    Both drivers take their sessions from here, so they consume ``rng``
+    identically: Zipf tenants for every session, then diurnal arrival
+    bins, then per session one file index and one offset within its bin.
+    """
+    tenants = rng.choices(range(N_TENANTS),
+                          cum_weights=_zipf_cum_weights(N_TENANTS, ZIPF_S),
+                          k=n_sessions)
+    arrival_bins = rng.choices(range(ARRIVAL_BINS),
+                               cum_weights=_diurnal_cum_weights(ARRIVAL_BINS),
+                               k=n_sessions)
+    plan = []
+    for i in range(n_sessions):
+        path = _tenant_file(tenants[i], rng.randrange(fpt))
+        arrival = (arrival_bins[i] + rng.random()) * (duration / ARRIVAL_BINS)
+        plan.append((path, arrival))
+    return plan

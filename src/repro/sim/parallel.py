@@ -37,18 +37,13 @@ them with a conservative bounded-window (YAWNS-style) barrier protocol:
   the mp backend, record batches ride a shared-memory ring per worker
   (:class:`_ShmChannel`); the pipes carry only small control tuples.
 
-Determinism contract: with a fixed partition map and seed, the
-``serial`` (one Simulator hosting every partition), ``inproc`` (K
-Simulators stepped round-robin in one process), and ``mp`` (K forked
-worker processes) backends produce identical event interleavings per
-host, hence identical results.  Installing a map *changes the model*
-(cross-partition messages become store-and-forward with the uplink
-latency added), so unpartitioned goldens are untouched; partitioned
-scenarios pin their own.
-
-An adaptive re-clustering pass (:func:`refine`) migrates chattering
-hosts into the partition they talk to most, using the observed
-cross-edge traffic matrix — the self-clustering heuristic.
+Determinism contract: with a fixed partition map and seed, the two
+backends — ``mp`` (K forked worker processes) and its oracle ``serial``
+(one Simulator hosting every partition) — produce identical event
+interleavings per host, hence identical results.  Installing a map
+*changes the model* (cross-partition messages become store-and-forward
+with the uplink latency added), so unpartitioned goldens are untouched;
+partitioned scenarios pin their own.
 """
 
 from __future__ import annotations
@@ -129,7 +124,7 @@ def plan_partitions(storage_hosts: Sequence[str], compute_hosts: Sequence[str],
     Storage hosts are chunked contiguously (rack labels, when present,
     group hosts first, approximating one switch per rack); compute hosts
     are spread round-robin so every partition drives a share of the
-    client load.  :func:`refine` improves the cut from observed traffic.
+    client load.
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
@@ -183,7 +178,7 @@ class Transit:
         self.outbox: Optional[Dict[int, List[tuple]]] = (
             {p: [] for p in range(pmap.n_partitions)}
             if local_pid is not None else None)
-        # Counters + cross-edge traffic matrices (for refine/inspector).
+        # Counters + cross-edge traffic matrices (for the inspector).
         self.records_out = 0
         self.records_in = 0
         self.wakes = 0
@@ -241,7 +236,7 @@ class Transit:
         self.records_out += len(copies)
 
     def flush_outbox(self) -> Dict[int, List[tuple]]:
-        """Take and reset the per-partition outbound queues (mp/inproc)."""
+        """Take and reset the per-partition outbound queues (worker mode)."""
         if self.outbox is None:
             return {}
         out = {p: recs for p, recs in self.outbox.items() if recs}
@@ -347,74 +342,6 @@ class Transit:
         }
 
 
-# ------------------------------------------------- adaptive re-clustering
-def merge_traffic(parts: Sequence[Mapping[Tuple[str, int], Sequence[int]]],
-                  ) -> Dict[Tuple[str, int], List[int]]:
-    merged: Dict[Tuple[str, int], List[int]] = {}
-    for part in parts:
-        for key, (cnt, nbytes) in part.items():
-            cell = merged.get(key)
-            if cell is None:
-                merged[key] = [cnt, nbytes]
-            else:
-                cell[0] += cnt
-                cell[1] += nbytes
-    return merged
-
-
-def refine(pmap: PartitionMap,
-           traffic_out: Mapping[Tuple[str, int], Sequence[int]],
-           traffic_in: Mapping[Tuple[str, int], Sequence[int]],
-           slack: float = 0.25,
-           max_moves: Optional[int] = None) -> Tuple[PartitionMap, int]:
-    """One self-clustering pass: migrate chattering hosts into the
-    partition they exchange the most messages with.
-
-    ``traffic_out[(host, pid)]`` counts records host sent *to* partition
-    pid; ``traffic_in[(host, pid)]`` counts records host received *from*
-    pid (both as ``[records, bytes]``).  Hosts are visited in order of
-    decreasing cross-partition traffic and moved greedily to their
-    highest-affinity partition, subject to a balance cap of
-    ``avg_size * (1 + slack)`` hosts per partition.  Deterministic:
-    ties break on hostid.
-    """
-    P = pmap.n_partitions
-    affinity: Dict[str, List[float]] = {}
-    for (host, pid), (cnt, _b) in traffic_out.items():
-        affinity.setdefault(host, [0.0] * P)[pid] += cnt
-    for (host, pid), (cnt, _b) in traffic_in.items():
-        affinity.setdefault(host, [0.0] * P)[pid] += cnt
-    assignment = dict(pmap.assignment)
-    sizes = pmap.sizes()
-    cap = math.ceil(len(assignment) / P * (1.0 + slack))
-
-    def cross_traffic(host: str) -> float:
-        aff = affinity.get(host)
-        if aff is None:
-            return 0.0
-        own = assignment.get(host)
-        return sum(a for p, a in enumerate(aff) if p != own)
-
-    moves = 0
-    for host in sorted(affinity, key=lambda h: (-cross_traffic(h), h)):
-        cur = assignment.get(host)
-        if cur is None:
-            continue
-        aff = affinity[host]
-        best = max(range(P), key=lambda p: (aff[p], -p))
-        if best == cur or aff[best] <= aff[cur]:
-            continue
-        if sizes[best] + 1 > cap:
-            continue
-        assignment[host] = best
-        sizes[cur] -= 1
-        sizes[best] += 1
-        moves += 1
-        if max_moves is not None and moves >= max_moves:
-            break
-    return PartitionMap(assignment, P, pmap.cross_latency), moves
-
-
 # ------------------------------------------------------------ window math
 def _grid_next(t: float, L: float) -> float:
     """The smallest multiple of ``L`` strictly greater than ``t``."""
@@ -430,7 +357,7 @@ def _grid_ceil(t: float, L: float) -> float:
 class _Worker:
     """One partition's event loop plus the per-phase bookkeeping.
 
-    Identical code runs in all three backends; only how the coordinator
+    Identical code runs in both backends; only how the coordinator
     reaches it differs (direct calls, or a command pipe).
     """
 
@@ -462,17 +389,20 @@ class _Worker:
                     "clock": self.sim.now,
                     "busy_wall_s": self.busy_wall,
                     "transit": self.transit.stats_dict(),
-                    "traffic_out": self.transit.traffic_out,
-                    "traffic_in": self.transit.traffic_in,
                 }
             raise ValueError(f"unknown worker command {op!r}")
         finally:
             self.busy_wall += time.perf_counter() - t0
 
     def _status(self, stop_t: Optional[float] = None, wexec: int = 0) -> tuple:
+        """``("s", next event, done, done_t, stop_t, windows executed,
+        events processed so far, outbound records)`` — the outbound
+        flush is always last, so the mp link can swap it for a
+        shared-memory descriptor."""
         done = self._mode != "procs" or self._open == 0
         return ("s", self.sim.next_event_time(), done, self._done_t,
-                stop_t, wexec, self.transit.flush_outbox())
+                stop_t, wexec, self.sim._nprocessed,
+                self.transit.flush_outbox())
 
     def _start_phase(self, idx: int, t_start: float) -> tuple:
         sim = self.sim
@@ -716,7 +646,7 @@ class _ShmChannel:
 
 # ------------------------------------------------------------- endpoints
 class _LocalEndpoint:
-    """In-process coordinator<->worker link (serial/inproc backends)."""
+    """In-process coordinator<->worker link (the serial backend)."""
 
     def __init__(self, worker: _Worker):
         self.worker = worker
@@ -760,12 +690,12 @@ class _PipeEndpoint:
             if reply[0] == "err":
                 raise RuntimeError(f"partition worker failed: {reply[1]}")
             if reply[0] == "s":
-                spec = reply[6]
+                spec = reply[-1]
                 if spec[0] == "shm":
                     out = self.channel.read_flush(spec[1], spec[2])
                 else:
                     out = spec[1]
-                return reply[:6] + (out,)
+                return reply[:-1] + (out,)
         return reply
 
     def stop(self) -> None:
@@ -806,13 +736,13 @@ def _mp_worker_main(conn, builder, args, pid,
             else:
                 reply = worker.handle(cmd)
             if isinstance(reply, tuple) and reply and reply[0] == "s":
-                out = reply[6]
+                out = reply[-1]
                 spec = None
                 if out and channel is not None:
                     spec = channel.write_flush(out)
                 if spec is None:
                     spec = ("inl", out)
-                reply = reply[:6] + (spec,)
+                reply = reply[:-1] + (spec,)
             conn.send(reply)
         except Exception as exc:  # noqa: BLE001
             conn.send(("err", f"{type(exc).__name__}: {exc}"))
@@ -837,7 +767,7 @@ class RunStats:
     wall_s: float = 0.0
     barrier_wall_s: float = 0.0     # coordinator time around window rounds
     busy_wall_s: List[float] = field(default_factory=list)
-    events: List[int] = field(default_factory=list)
+    events: List[int] = field(default_factory=list)   # per worker, whole run
     phase_log: List[Dict[str, float]] = field(default_factory=list)
 
 
@@ -845,8 +775,7 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
                     phase_meta: Sequence[Tuple[str, Optional[float]]],
                     backend: str = "serial",
                     fabric_latency: Optional[float] = None,
-                    horizon: float = 1e7,
-                    max_grant_windows: Optional[int] = None) -> Dict[str, Any]:
+                    horizon: float = 1e7) -> Dict[str, Any]:
     """Execute a phased partition program under conservative grants.
 
     ``builder(*args, local_pid=...)`` constructs one partition program: an
@@ -873,13 +802,17 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
     ea(V))`` without ever receiving a record in its executed past.
     Workers with no work below their grant are advanced
     silently — an empty window never touches the worker, so skipping
-    the round trip is exactly equivalent.  ``max_grant_windows`` caps
-    the windows of *potential work* per grant (``None`` = adaptive,
-    doubling on quiet inbound, halving on traffic); 1 reproduces
-    single-window execution.
+    the round trip is exactly equivalent.  Each grant is also capped at
+    ``cap`` windows of *potential work*: ``cap`` starts at 8, doubles
+    after a round with no inbound records (up to 4096) and halves after
+    one where records flowed.
 
-    Returns ``{"results": [per-partition result dicts], "stats": RunStats,
-    "traffic_out"/"traffic_in": merged matrices}``.
+    ``backend`` is ``"mp"`` (one forked worker per partition) or
+    ``"serial"`` (the whole partitioned model in this process — the
+    oracle ``mp`` must match).  Returns ``{"results", "clocks", "peaks",
+    "transit"}`` (one entry per partition) plus ``"stats"`` (a
+    :class:`RunStats`; each ``phase_log`` entry carries the ``events``
+    its phase executed).
     """
     t_wall0 = time.perf_counter()
     stats = RunStats(backend=backend, n_partitions=pmap.n_partitions)
@@ -889,11 +822,6 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
         program = builder(*args, local_pid=None)
         endpoints.append(_LocalEndpoint(_Worker(program)))
         L = program.transit.lookahead
-    elif backend == "inproc":
-        for p in range(pmap.n_partitions):
-            program = builder(*args, local_pid=p)
-            endpoints.append(_LocalEndpoint(_Worker(program)))
-        L = endpoints[0].worker.transit.lookahead
     elif backend == "mp":
         import multiprocessing as mp
 
@@ -919,19 +847,19 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
 
     n = len(endpoints)
     INF = math.inf
-    adaptive = max_grant_windows is None
-    cap = [8 if adaptive else max(1, max_grant_windows)] * n
+    cap = [8] * n
     # Per-endpoint coordination state.  ``pos[i]`` is the grant frontier:
     # endpoint i has executed every event below it and nothing at/after.
     pos = [0.0] * n
     nev: List[Optional[float]] = [None] * n
     done = [True] * n
     done_t = [0.0] * n
+    nproc = [0] * n     # events each endpoint reported processing so far
     # Records generated in one grant, injected with the receiver's next.
     pending: Dict[int, List[tuple]] = {i: [] for i in range(n)}
 
     def absorb(i: int, reply: tuple) -> None:
-        _tag, next_t, dn, dt, stop_t, wexec, out = reply
+        _tag, next_t, dn, dt, stop_t, wexec, nproc[i], out = reply
         nev[i] = next_t
         done[i] = dn
         done_t[i] = dt
@@ -955,6 +883,7 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
 
     try:
         t_cursor = 0.0
+        events_mark = 0
         for idx, (kind, until_t) in enumerate(phase_meta):
             t_phase0 = time.perf_counter()
             t_phase_start = t_cursor
@@ -970,7 +899,9 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
                     "kind": kind, "t_start": round(t_phase_start, 9),
                     "t_end": round(t_cursor, 9), "rounds": 0,
                     "wall_s": round(time.perf_counter() - t_phase0, 3),
+                    "events": sum(nproc) - events_mark,
                 })
+                events_mark = sum(nproc)
                 continue
             if kind == "until":
                 target: Optional[float] = max(_grid_ceil(until_t, L), t_cursor)
@@ -1070,9 +1001,9 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
                     inbound = pending[i]
                     if inbound:
                         pending[i] = []
-                        if adaptive and cap[i] > 1:
+                        if cap[i] > 1:
                             cap[i] >>= 1
-                    elif adaptive and cap[i] < 4096:
+                    elif cap[i] < 4096:
                         cap[i] <<= 1
                     stats.grants += 1
                     stats.windows += max(0, round((t_send - pos[i]) / L))
@@ -1086,7 +1017,11 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
                 "t_end": round(t_cursor, 9),
                 "rounds": stats.barriers - rounds0,
                 "wall_s": round(time.perf_counter() - t_phase0, 3),
+                # Endpoints skipped by a round still hold the count
+                # they last reported: they ran nothing since.
+                "events": sum(nproc) - events_mark,
             })
+            events_mark = sum(nproc)
         for ep in endpoints:
             ep.post(("result",))
         replies = [ep.wait() for ep in endpoints]
@@ -1110,7 +1045,5 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
         "clocks": [r["clock"] for r in replies],
         "peaks": [r.get("peak_pending", 0) for r in replies],
         "transit": [r["transit"] for r in replies],
-        "traffic_out": merge_traffic([r["traffic_out"] for r in replies]),
-        "traffic_in": merge_traffic([r["traffic_in"] for r in replies]),
         "stats": stats,
     }

@@ -283,11 +283,10 @@ class ClusterInspector:
 
         Empty dict when no partition map is installed (the common case).
         Reports the partition layout, this worker's transit counters, and
-        the cross-edge traffic matrix (``"p0->p1" -> [records, bytes]``)
-        — the same matrix :func:`repro.sim.parallel.refine` clusters on.
+        the cross-edge traffic matrix (``"p0->p1" -> [records, bytes]``).
         In worker mode the numbers cover this partition's sends/receives;
-        the coordinator's merged view lives in ``run_partitioned``'s
-        result.
+        ``run_partitioned``'s result lists every partition's counters
+        under ``"transit"``.
         """
         transit = getattr(self.dep, "transit", None)
         if transit is None:
@@ -296,8 +295,7 @@ class ClusterInspector:
         pmap = transit.pmap
         stats["partition_sizes"] = pmap.sizes()
         stats["cut_edges"] = pmap.cut_edges(transit.traffic_out)
-        # Per-host chatter across the cut, noisiest first — the refine()
-        # migration candidates.
+        # Per-host chatter across the cut, noisiest first.
         chatter: Dict[str, int] = {}
         for (host, _pid), (cnt, _b) in transit.traffic_out.items():
             chatter[host] = chatter.get(host, 0) + cnt

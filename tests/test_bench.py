@@ -27,15 +27,21 @@ def test_macro_suite_smoke():
     assert results["fig10_reduced"]["events"] > 0
 
 
+#: point -> (module, the window driver it calls, a small run).
 WINDOW_POINTS = {
-    "nsshard": ("repro.bench.nsshard_bench",
+    "nsshard": ("repro.bench.nsshard_bench", "run_until_done",
                 lambda m: m.metadata_point(1, 2, duration=0.5)),
-    "scale": ("repro.experiments.scale",
+    "scale": ("repro.experiments.scale", "run_until_done",
               lambda m: m.run_point(n_providers=8, n_files=32,
                                     n_sessions=8, duration=1.0, seed=1)),
-    "compute": ("repro.experiments.compute",
+    "compute": ("repro.experiments.compute", "run_until_done",
                 lambda m: m.run_point("map_scan", "locality", n_providers=4,
                                       n_files=4, file_mb=1)),
+    "datapath": ("repro.bench.datapath_bench", "drive_procs",
+                 lambda m: m.locate_storm(n_clients=1, rounds=1,
+                                          reads_per_round=4, n_storage=4)),
+    "diskengine": ("repro.bench.diskengine_bench", "drive_procs",
+                   lambda m: m.flush_storm(n_clients=1, writes=4)),
 }
 
 
@@ -46,18 +52,18 @@ def test_rows_count_only_the_measured_window_events(point, monkeypatch):
     count with cluster formation and warm-up folded in."""
     import importlib
 
-    name, run = WINDOW_POINTS[point]
+    name, driver, run = WINDOW_POINTS[point]
     module = importlib.import_module(name)
     window = {}
-    real = module.run_until_done
+    real = getattr(module, driver)
 
-    def spy(sim, procs, **kwargs):
+    def spy(sim, procs, *args, **kwargs):
         window["before"] = sim._nprocessed
-        result = real(sim, procs, **kwargs)
+        result = real(sim, procs, *args, **kwargs)
         window["after"] = sim._nprocessed
         return result
 
-    monkeypatch.setattr(module, "run_until_done", spy)
+    monkeypatch.setattr(module, driver, spy)
     row = run(module)
     assert window["before"] > 0     # set-up ran events of its own
     assert row["events"] == window["after"] - window["before"]

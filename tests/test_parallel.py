@@ -2,11 +2,11 @@
 serial-vs-parallel determinism contract.
 
 The contract under test: with a fixed partition map and seed, the
-``serial`` backend (one Simulator hosting every partition of the
-partitioned model), the ``inproc`` backend (K Simulators in one
-process), and the ``mp`` backend (K forked workers) produce identical
-results — down to per-session completion timestamps, which are floats
-and therefore only equal when every event interleaving matches.
+``mp`` backend (K forked workers) and its oracle, the ``serial``
+backend (one Simulator hosting every partition of the partitioned
+model), produce identical results — down to per-session completion
+timestamps, which are floats and therefore only equal when every event
+interleaving matches.
 """
 
 import math
@@ -22,13 +22,13 @@ from repro.experiments.partitioned import (
     build_scale_program,
     partition_for_spec,
     run_fig10_partitioned,
+    run_scale_point_partitioned,
 )
 from repro.sim.parallel import (
     PartitionMap,
     _grid_ceil,
     _grid_next,
     plan_partitions,
-    refine,
     run_partitioned,
 )
 from repro.tools.inspector import ClusterInspector
@@ -80,20 +80,6 @@ def test_grid_math():
         or math.isclose(_grid_next(t, L) % L, L, abs_tol=1e-12)
 
 
-def test_refine_migrates_chatterer_and_respects_cap():
-    pmap = PartitionMap({"a": 0, "b": 0, "c": 1, "d": 1}, 2)
-    # "a" talks almost exclusively to partition 1.
-    traffic_out = {("a", 1): [100, 1000], ("a", 0): [1, 10]}
-    traffic_in = {("a", 1): [80, 800]}
-    refined, moves = refine(pmap, traffic_out, traffic_in)
-    assert moves == 1
-    assert refined.pid("a") == 1
-    # Balance cap: with slack 0, nobody can move into a full partition.
-    refined2, moves2 = refine(pmap, traffic_out, traffic_in, slack=0.0)
-    assert moves2 == 0
-    assert refined2.pid("a") == 0
-
-
 # --------------------------------------------------- determinism contract
 def _scale_outcome(pmap, backend):
     """Per-session (idx, completion time, ok) rows — float-exact."""
@@ -109,11 +95,11 @@ def _scale_outcome(pmap, backend):
 @given(st.lists(st.integers(0, 1), min_size=len(SCALE_HOSTS),
                 max_size=len(SCALE_HOSTS)))
 def test_random_partition_maps_reproduce_serial_order(pids):
-    """Any 2-way cut of the small cluster: parallel == serial, down to
+    """Any 2-way cut of the small cluster: mp == serial, down to
     per-session completion timestamps."""
     pmap = PartitionMap(dict(zip(SCALE_HOSTS, pids)), 2,
                         cross_latency=5e-3)
-    assert _scale_outcome(pmap, "serial") == _scale_outcome(pmap, "inproc")
+    assert _scale_outcome(pmap, "serial") == _scale_outcome(pmap, "mp")
 
 
 def test_mp_backend_matches_serial():
@@ -127,14 +113,14 @@ def test_mp_backend_matches_serial():
 def test_fig10_partitioned_golden():
     """Pin the partitioned fig10_reduced smoke result (fixed map, fixed
     seed): the macro suite's parallel entry must not drift silently, and
-    serial/inproc must agree on it."""
+    serial/mp must agree on it."""
     rows = {}
-    for backend in ("serial", "inproc"):
+    for backend in ("serial", "mp"):
         rows[backend] = run_fig10_partitioned(
             n_clients=2, duration=1.5, n_storage=4, workers=2,
             backend=backend, cross_latency=5e-3)
-    assert rows["serial"]["digest"] == rows["inproc"]["digest"]
-    assert rows["serial"]["tags"] == rows["inproc"]["tags"]
+    assert rows["serial"]["digest"] == rows["mp"]["digest"]
+    assert rows["serial"]["tags"] == rows["mp"]["tags"]
     # The pinned golden (regenerate deliberately if the model changes;
     # last re-recorded for the kernel's same-instant delivery-lane
     # tie-break, which replaced insertion-order arbitration):
@@ -160,7 +146,7 @@ def test_three_way_cut_fig10():
         return sorted(tags.items())
 
     serial = tags_for("serial")
-    assert serial == tags_for("inproc")
+    assert serial == tags_for("mp")
     assert sum(n for _t, n in serial) > 0
 
 
@@ -170,21 +156,12 @@ def test_three_way_cut_fig10():
                 max_size=len(SCALE_HOSTS)))
 def test_grant_batching_is_bit_identical(pids):
     """Multi-window grants must not change a single event interleaving:
-    for random 2/3-way cuts, capping grants at K ∈ {1, 4, 16} windows
-    (K=1 reproduces the classic single-window protocol) yields the same
-    per-session float-exact rows as the adaptive serial reference."""
+    for random 3-way cuts, the forked workers under the adaptive grant
+    cap yield the same per-session float-exact rows as the serial
+    oracle."""
     pmap = PartitionMap(dict(zip(SCALE_HOSTS, pids)), 3,
                         cross_latency=5e-3)
-    reference = _scale_outcome(pmap, "serial")
-
-    for k in (1, 4, 16):
-        out = run_partitioned(build_scale_program,
-                              (SCALE_POINT, 0, True, pmap), pmap,
-                              SCALE_PHASES, backend="inproc",
-                              fabric_latency=80e-6,
-                              max_grant_windows=k)
-        rows = sorted(r for res in out["results"] for r in res["rows"])
-        assert rows == reference, f"K={k} diverged"
+    assert _scale_outcome(pmap, "serial") == _scale_outcome(pmap, "mp")
 
 
 def test_grants_never_deliver_into_executed_span(monkeypatch):
@@ -192,31 +169,80 @@ def test_grants_never_deliver_into_executed_span(monkeypatch):
     its destination worker, that worker's executed frontier must not
     have passed the record's arrival time — and a grant must carry all
     pending inbound records with it (none held back behind a barrier).
+
+    The workers run in forked children, so the check sits on the
+    parent's side of each pipe: every reply reports the worker's
+    frontier, and every later grant's records must arrive at or after
+    it.
     """
     from repro.sim import parallel
 
-    orig = parallel._Worker._run_window
+    orig_post = parallel._PipeEndpoint.post
+    orig_wait = parallel._PipeEndpoint.wait
+    frontier = {}
     grants = []
 
-    def checked(self, t_end, inbound):
-        if inbound:
-            first = min(rec[0] for rec in inbound)
-            assert first >= self._pos - 1e-15, (
-                f"record at {first} delivered behind frontier {self._pos}")
-        assert t_end >= self._pos
-        grants.append(len(inbound) if inbound else 0)
-        return orig(self, t_end, inbound)
+    def checked_post(self, cmd):
+        if cmd[0] == "win":
+            _op, t_end, inbound = cmd
+            pos = frontier.get(id(self), 0.0)
+            if inbound:
+                first = min(rec[0] for rec in inbound)
+                assert first >= pos - 1e-15, (
+                    f"record at {first} delivered behind frontier {pos}")
+            assert t_end >= pos
+            grants.append(len(inbound))
+        return orig_post(self, cmd)
 
-    monkeypatch.setattr(parallel._Worker, "_run_window", checked)
+    def recording_wait(self):
+        reply = orig_wait(self)
+        if isinstance(reply, tuple) and reply[4] is not None:
+            frontier[id(self)] = reply[4]
+        return reply
+
+    monkeypatch.setattr(parallel._PipeEndpoint, "post", checked_post)
+    monkeypatch.setattr(parallel._PipeEndpoint, "wait", recording_wait)
     spec = small_cluster(SCALE_POINT[0], n_compute=20,
                          capacity_per_node=4 * GB,
                          name=f"scale-{SCALE_POINT[0]}")
     pmap = partition_for_spec(spec, 2, cross_latency=5e-3)
     out = run_partitioned(build_scale_program,
                           (SCALE_POINT, 0, True, pmap), pmap, SCALE_PHASES,
-                          backend="inproc", fabric_latency=80e-6)
+                          backend="mp", fabric_latency=80e-6)
+    assert frontier and grants
     assert sum(grants) == out["stats"].records_shipped
     assert out["stats"].records_shipped > 0
+
+
+# ------------------------------------------------------ phase accounting
+def test_partitioned_row_counts_only_the_window_phase(monkeypatch):
+    """A partitioned row's ``events`` (and so ``events_per_s``) is what
+    the measured sessions phase executed, not each worker's whole-run
+    count with formation and preload folded in."""
+    from repro.sim import parallel
+
+    counts = {}
+    orig_start = parallel._Worker._start_phase
+    orig_handle = parallel._Worker.handle
+
+    def start(self, idx, t_start):
+        counts.setdefault("starts", []).append(self.sim._nprocessed)
+        return orig_start(self, idx, t_start)
+
+    def handle(self, cmd):
+        if cmd[0] == "result":
+            counts["end"] = self.sim._nprocessed
+        return orig_handle(self, cmd)
+
+    monkeypatch.setattr(parallel._Worker, "_start_phase", start)
+    monkeypatch.setattr(parallel._Worker, "handle", handle)
+    row = run_scale_point_partitioned(
+        SCALE_POINT[0], SCALE_POINT[1], SCALE_POINT[2], SCALE_POINT[3],
+        workers=2, backend="serial", smoke_preload=True)
+    window_start = counts["starts"][2]
+    assert window_start > 0         # formation ran events of its own
+    assert row["events"] == counts["end"] - window_start
+    assert row["worker_events"] == [counts["end"]]
 
 
 # ------------------------------------------------------ substrate details
