@@ -86,7 +86,7 @@ def locate_storm(cached: bool = True, n_clients: int = 4, rounds: int = 6,
                 counter[0] += 1
             yield from client.close(fh)
 
-    base_events = dep.sim._nprocessed
+    base_events = dep.sim.events_processed
     procs = [
         dep.sim.process(storm(c, random.Random(seed * 1000 + i)))
         for i, c in enumerate(clients)
@@ -95,7 +95,7 @@ def locate_storm(cached: bool = True, n_clients: int = 4, rounds: int = 6,
     peak = drive_procs(dep.sim, procs)
     wall = time.perf_counter() - t0
     row = _datapath_row(dep, wall, counter[0], peak,
-                        dep.sim._nprocessed - base_events)
+                        dep.sim.events_processed - base_events)
     row["rpcs_per_read"] = round(row["data_path_rpcs"] / max(counter[0], 1), 2)
     return row
 
@@ -130,12 +130,12 @@ def stripe_readwrite(cached: bool = True, n_clients: int = 2,
             counter[0] += 1
         yield from client.close(fh)
 
-    base_events = dep.sim._nprocessed
+    base_events = dep.sim.events_processed
     procs = [dep.sim.process(session(c, i)) for i, c in enumerate(clients)]
     t0 = time.perf_counter()
     peak = drive_procs(dep.sim, procs)
     wall = time.perf_counter() - t0
     row = _datapath_row(dep, wall, counter[0], peak,
-                        dep.sim._nprocessed - base_events)
+                        dep.sim.events_processed - base_events)
     row["rpcs_per_io"] = round(row["data_path_rpcs"] / max(counter[0], 1), 2)
     return row

@@ -89,7 +89,7 @@ def smallfile_churn(cached: bool = True, n_clients: int = 2, rounds: int = 6,
                 counter[0] += 1
             yield from client.close(fh)
 
-    base_events = dep.sim._nprocessed
+    base_events = dep.sim.events_processed
     sim0 = dep.sim.now
     procs = [
         dep.sim.process(churn(c, random.Random(seed * 1000 + i)))
@@ -99,7 +99,7 @@ def smallfile_churn(cached: bool = True, n_clients: int = 2, rounds: int = 6,
     peak = drive_procs(dep.sim, procs)
     wall = time.perf_counter() - t0
     return _disk_row(dep, wall, counter[0], peak, dep.sim.now - sim0,
-                     dep.sim._nprocessed - base_events)
+                     dep.sim.events_processed - base_events)
 
 
 def flush_storm(cached: bool = True, n_clients: int = 2, writes: int = 48,
@@ -130,7 +130,7 @@ def flush_storm(cached: bool = True, n_clients: int = 2, writes: int = 48,
             counter[0] += 1
         yield from client.close(fh)
 
-    base_events = dep.sim._nprocessed
+    base_events = dep.sim.events_processed
     sim0 = dep.sim.now
     procs = [
         dep.sim.process(storm(c, i, random.Random(seed * 1000 + i)))
@@ -140,4 +140,4 @@ def flush_storm(cached: bool = True, n_clients: int = 2, writes: int = 48,
     peak = drive_procs(dep.sim, procs)
     wall = time.perf_counter() - t0
     return _disk_row(dep, wall, counter[0], peak, dep.sim.now - sim0,
-                     dep.sim._nprocessed - base_events)
+                     dep.sim.events_processed - base_events)

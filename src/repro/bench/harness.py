@@ -73,7 +73,7 @@ def stats(sim, wall: float, ops: int, peak: int,
     before the window)."""
     wall = max(wall, 1e-9)
     if events is None:
-        events = sim._nprocessed
+        events = sim.events_processed
     return {
         "wall_s": round(wall, 4),
         "sim_time_s": round(sim.now, 6),

@@ -30,7 +30,7 @@ def reduced_fig10(n_clients: int = 6, duration: float = 8.0,
     except Exception:
         pass
     counter = [0]
-    base_events = dep.sim._nprocessed
+    base_events = dep.sim.events_processed
     procs = [
         dep.sim.process(session_loop(c, f"c{i}", counter, duration))
         for i, c in enumerate(clients)
@@ -39,7 +39,7 @@ def reduced_fig10(n_clients: int = 6, duration: float = 8.0,
     peak = drive_procs(dep.sim, procs)
     wall = time.perf_counter() - t0
     row = stats(dep.sim, wall, counter[0], peak,
-                events=dep.sim._nprocessed - base_events)
+                events=dep.sim.events_processed - base_events)
     row["sessions"] = counter[0]
     row["sessions_per_sim_s"] = round(counter[0] / duration, 1)
     return row

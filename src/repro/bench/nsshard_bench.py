@@ -74,11 +74,11 @@ def metadata_point(n_shards: int, n_clients: int,
         c, f"/c{i:02d}", counters, t0 + duration))
         for i, c in enumerate(clients)]
 
-    events0 = dep.sim._nprocessed
+    events0 = dep.sim.events_processed
     wall0 = time.perf_counter()
     run_until_done(dep.sim, procs, max_time=t0 + duration + 60.0)
     wall = max(time.perf_counter() - wall0, 1e-9)
-    events = dep.sim._nprocessed - events0
+    events = dep.sim.events_processed - events0
     sim_elapsed = dep.sim.now - t0
 
     redirects = sum(c.stats["ns_redirects"] for c in clients)

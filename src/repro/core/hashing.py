@@ -14,17 +14,24 @@ sort, which beats per-host passes when most of the ring is changing
 anyway.  Either way the arrays end up identical to a from-scratch
 ``sorted((point, host) for ...)`` construction, so lookups are
 bit-compatible with the original per-view rebuild.  Vnode hash points
-are computed once per host ever seen and cached, so churn (a host
-leaving and rejoining) re-hashes nothing.
+are a pure function of (host, vnodes): they are computed once per
+process and shared by every ring (a deployment holds one ring per
+provider and client, all over the same hosts), so neither churn (a host
+leaving and rejoining) nor a new ring re-hashes anything.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 DEFAULT_VNODES = 64
+
+#: (host, vnodes) -> that host's sorted vnode points, shared by every
+#: ring.  Never mutated in place; cleared when it reaches the cap.
+_VNODE_POINTS: Dict[Tuple[str, int], List[int]] = {}
+_VNODE_POINTS_MAX = 1 << 16
 
 
 def _point(data: str) -> int:
@@ -37,7 +44,8 @@ class HashRing:
     One ring, maintained by splicing.  ``stats`` records the maintenance
     work actually done — the churn regression test pins ``bulk_builds``
     to the single initial build and bounds ``point_hashes`` by
-    hosts-ever-seen × vnodes.
+    hosts-ever-seen × vnodes (points another ring already hashed count
+    nothing).
     """
 
     def __init__(self, vnodes: int = DEFAULT_VNODES):
@@ -49,17 +57,19 @@ class HashRing:
         self._current: set = set()       # intended membership
         self._built: set = set()         # hosts physically in the arrays
         self._dirty = False
-        self._vnode_points: Dict[str, List[int]] = {}  # per-host, sorted
         self._last_members: object = None  # identity fast path (see below)
         self.stats = {"splices": 0, "point_hashes": 0, "reconciles": 0,
                       "bulk_builds": 0}
 
     # ------------------------------------------------------- maintenance
     def _host_points(self, host: str) -> List[int]:
-        pts = self._vnode_points.get(host)
+        key = (host, self.vnodes)
+        pts = _VNODE_POINTS.get(key)
         if pts is None:
             pts = sorted(_point(f"{host}#{i}") for i in range(self.vnodes))
-            self._vnode_points[host] = pts
+            if len(_VNODE_POINTS) >= _VNODE_POINTS_MAX:
+                _VNODE_POINTS.clear()
+            _VNODE_POINTS[key] = pts
             self.stats["point_hashes"] += self.vnodes
         return pts
 

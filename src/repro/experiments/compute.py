@@ -135,12 +135,12 @@ def run_point(scenario: str, policy: str, *, n_providers: int = 6,
 
         procs = [dep.sim.process(job())]
 
-    events0 = dep.sim._nprocessed
+    events0 = dep.sim.events_processed
     t_run = time.perf_counter()
     sim_start = dep.sim.now
     run_until_done(dep.sim, procs, max_time=dep.sim.now + 600.0)
     wall = time.perf_counter() - t_run
-    events = dep.sim._nprocessed - events0
+    events = dep.sim.events_processed - events0
     # Drain in-flight pre-stage transfers so every byte the scheduler
     # moved is counted before the row is read.
     drain_until = dep.sim.now + 120.0

@@ -133,12 +133,12 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
         clients[i % N_CLIENT_STUBS], path, arrival, counters))
         for i, (path, arrival) in enumerate(plan)]
 
-    events0 = dep.sim._nprocessed
+    events0 = dep.sim.events_processed
     t_run = time.perf_counter()
     sim_start = dep.sim.now
     run_until_done(dep.sim, procs, max_time=dep.sim.now + duration + 300.0)
     wall = time.perf_counter() - t_run
-    events = dep.sim._nprocessed - events0
+    events = dep.sim.events_processed - events0
     sim_elapsed = dep.sim.now - sim_start
 
     return {

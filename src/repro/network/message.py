@@ -28,11 +28,11 @@ _lane_cache: Dict[Tuple[str, str], int] = {}
 def delivery_lane(src: str, dst: str) -> int:
     """The same-instant arbitration lane for a ``src -> dst`` delivery.
 
-    The kernel orders same-``(time, priority)`` events by ``(lane, seq)``;
-    local events carry lane 0, so stamping every wire delivery with a
-    stable ``>= 1`` lane derived from its (src, dst) pair makes collision
-    order a pure function of *content*: locals dispatch first, then
-    deliveries in lane order, and only same-pair deliveries (whose FIFO
+    ``Simulator.deliver`` runs an instant's local events first, then its
+    wire deliveries in ``(lane, seq)`` order, so stamping every delivery
+    with a stable ``>= 1`` lane derived from its (src, dst) pair makes
+    collision order a pure function of *content*: locals dispatch first,
+    then deliveries in lane order, and only same-pair deliveries (whose FIFO
     order is already mode-invariant) fall through to ``seq``.  That is
     what keeps one global Simulator and K per-partition Simulators —
     whose insertion counters advance differently — dispatching identical

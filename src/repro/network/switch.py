@@ -6,9 +6,11 @@ links (NICs) and a fixed per-hop propagation/switching latency are
 modelled.  Multicast groups deliver a copy to every subscribed live host
 (charging each receiver's rx link).
 
-Delivery is callback-based: each copy rides a single kernel timeout that
-fires at its arrival instant — no per-delivery process, no bootstrap
-event.  The fabric owns the message envelope after ``send`` and returns
+Delivery is callback-based: each copy is filed with
+:meth:`~repro.sim.Simulator.deliver` on its (src, dst) lane, and every
+copy due at one arrival instant — a heartbeat's fan-out, typically —
+rides one kernel event; no per-delivery process, timeout or closure.
+The fabric owns the message envelope after ``send`` and returns
 it to the :mod:`repro.network.message` free-list once the last copy has
 been handed to (or dropped by) its receiver.
 """
@@ -179,9 +181,8 @@ class Fabric:
         elif msg.dst == msg.src:
             # Loopback: co-located client and daemon skip the NIC entirely
             # ("data transfers do not need to go through network", §3.7.2).
-            self.sim.timeout(LOOPBACK_LATENCY,
-                             lane=delivery_lane(msg.src, msg.src)).add_callback(
-                lambda _ev, host=src, m=msg: self._deliver_loopback(host, m))
+            self.sim.deliver(LOOPBACK_LATENCY, delivery_lane(msg.src, msg.src),
+                             self._deliver_loopback, (src, msg))
             return
         else:
             targets = (msg.dst,)
@@ -192,8 +193,8 @@ class Fabric:
         # sender starts transmitting (plus propagation latency), so a
         # large transfer costs ~size/rate once, not twice.  Both the tx
         # and rx links are still reserved for the full byte count.
-        sim = self.sim
-        now = sim.now
+        deliver = self.sim.deliver
+        now = self.sim.now
         blocked = self._blocked
         have_faults = bool(self._link_faults)
         transit = self.transit
@@ -242,9 +243,8 @@ class Fabric:
                 _rx_start, rx_done = dst.nic.rx.reserve(
                     msg.wire_size, not_before=tx_start + self.latency + extra)
                 arrive = max(tx_done + self.latency + extra, rx_done)
-                sim.timeout(arrive - now,
-                            lane=delivery_lane(msg.src, hostid)).add_callback(
-                    lambda _ev, d=dst, m=msg: self._deliver_copy(d, m))
+                deliver(arrive - now, delivery_lane(msg.src, hostid),
+                        self._deliver_copy, (dst, msg))
                 copies += 1
         # Nothing fires before the next sim.step(), so the refcount is
         # safely published after the loop.
@@ -256,14 +256,16 @@ class Fabric:
         if copies == 0:
             release_message(msg)
 
-    def _deliver_copy(self, dst: Host, msg: Message) -> None:
+    def _deliver_copy(self, copy: Tuple[Host, Message]) -> None:
+        dst, msg = copy
         if dst.alive and dst.deliver is not None:
             dst.deliver(msg)
         msg._refs -= 1
         if msg._refs <= 0:
             release_message(msg)
 
-    def _deliver_loopback(self, host: Host, msg: Message) -> None:
+    def _deliver_loopback(self, copy: Tuple[Host, Message]) -> None:
+        host, msg = copy
         if host.alive and host.deliver is not None:
             host.deliver(msg)
         release_message(msg)

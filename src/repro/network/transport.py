@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from types import GeneratorType
 from typing import Any, Callable, Dict, Generator, Set, Tuple, Union
 
 from repro.network.message import (
@@ -184,7 +185,7 @@ class Endpoint:
             handler = self.handlers.get(service)
             if handler is not None:
                 result = handler(payload, msg.src)
-                if isinstance(result, Generator):
+                if isinstance(result, GeneratorType):
                     self.sim.process(result, name=self._proc_names[service])
         elif kind == "ping":
             self._reply(msg.src, msg.req_id, "resp", None, PING_BYTES)
@@ -192,7 +193,7 @@ class Endpoint:
     def _run_handler(self, handler: Handler, payload: Any, src: str, req_id: int):
         try:
             result = handler(payload, src)
-            if isinstance(result, Generator):
+            if isinstance(result, GeneratorType):
                 result = yield from _drive(result)
         except Exception as exc:  # noqa: BLE001 - shipped back to the caller
             self._reply(src, req_id, "err", f"{type(exc).__name__}: {exc}", 64)

@@ -20,6 +20,7 @@ deployments wire them after nodes (and their daemons) exist.
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Generator, Optional
 
 from repro.network.transport import Endpoint, Handler, _split_result
@@ -156,7 +157,7 @@ class ServiceRuntime:
             except Exception:
                 self._record_server(service, t0, None, ok=False)
                 raise
-            if isinstance(result, Generator):
+            if isinstance(result, GeneratorType):
                 return self._drive(service, result, t0)
             self._record_server(service, t0, result, ok=True)
             return result

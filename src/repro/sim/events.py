@@ -126,25 +126,18 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers ``delay`` simulated seconds after creation.
-
-    ``lane`` feeds the kernel's same-instant arbitration: 0 (the default)
-    for ordinary local events, a stable ``delivery_lane(src, dst)`` value
-    for wire deliveries — so two events colliding at one ``(time,
-    priority)`` order by content, never by scheduling order.
-    """
+    """An event that triggers ``delay`` simulated seconds after creation."""
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None,  # noqa: F821
-                 lane: int = 0):
+    def __init__(self, sim: "Simulator", delay: float, value: Any = None):  # noqa: F821
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(sim)
         self.delay = delay
         self.state = SUCCEEDED
         self.value = value
-        sim._schedule(self, delay, lane=lane)
+        sim._schedule(self, delay)
 
     @property
     def name(self) -> str:

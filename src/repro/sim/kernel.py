@@ -6,7 +6,11 @@ on, so the per-event taxes are explicit):
 * zero-delay events bypass ``heapq`` through two FIFOs — one for
   priority-0 "urgent" events (process bootstrap, interrupts) and one for
   ordinary same-tick triggers — preserving exactly the ``(time,
-  priority, lane, seq)`` order the heap would have produced;
+  priority, seq)`` order the heap would have produced;
+* wire deliveries (:meth:`Simulator.deliver`) due at one instant share a
+  single heap entry, an :class:`_Instant`, so a multicast heartbeat
+  fanned out to P receivers costs one kernel event per arrival instant
+  rather than one timeout per copy;
 * deadlines are :class:`~repro.sim.events.Timer` objects that callers
   cancel on completion; cancelled entries are tombstones, swept (and the
   timer recycled through a free-list) when popped, and compacted in bulk
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim.events import (
     CANCELLED,
@@ -51,23 +55,79 @@ class _Kick(Event):
     __slots__ = ()
 
 
+#: Third key of an :class:`_Instant`'s heap entry: above every ``seq``.
+_LAST = float("inf")
+
+
+class _Instant:
+    """Every wire delivery due at one instant ``t``, as one heap entry.
+
+    Items are ``(lane, seq, fn, arg)``, run as ``fn(arg)`` in ``(lane,
+    seq)`` order.  The entry sits in the heap at ``(t, 1, inf)``: after
+    every local event of its instant and priority, before priority 2.
+    Before each item after the first it yields to anything now pending
+    that sorts ahead of that item — an urgent or same-tick event the
+    previous item spawned, a heap entry due at ``t``, or a
+    :attr:`Simulator.window_break` — by re-entering the heap and
+    returning, so the dispatch order is exactly that of one laned
+    timeout per item.
+    """
+
+    __slots__ = ("sim", "t", "items", "state")
+
+    def __init__(self, sim: "Simulator", t: float) -> None:
+        self.sim = sim
+        self.t = t
+        self.items: list = []
+        self.state = SUCCEEDED
+
+    def _dispatch(self) -> None:
+        sim = self.sim
+        items = self.items
+        imm0, imm1 = sim._imm0, sim._imm1
+        entry = (self.t, 1, _LAST, self)
+        pop = heapq.heappop
+        try:
+            while True:
+                _lane, _seq, fn, arg = pop(items)
+                fn(arg)
+                if not items:
+                    del sim._instants[self.t]
+                    return
+                # ``_heap`` is re-read: a cancel can compact it into a
+                # fresh list.
+                heap = sim._heap
+                if (imm0 or imm1 or sim.window_break
+                        or (heap and heap[0] < entry)):
+                    sim._push(entry)
+                    return
+        except BaseException:
+            # Keep the rest of the instant deliverable.
+            if items:
+                sim._push(entry)
+            else:
+                sim._instants.pop(self.t, None)
+            raise
+
+
 class Simulator:
     """Drives events in virtual time.
 
-    The heap holds ``(time, priority, lane, seq, event)`` tuples.  ``lane``
-    is the same-instant arbitration rule: local events carry lane 0, wire
-    deliveries carry a stable lane derived from the (src, dst) pair (see
-    :func:`repro.network.message.delivery_lane`), so ties at one
-    ``(time, priority)`` resolve by *content* — locals first, then
-    deliveries in lane order — independent of heap insertion order.  That
-    independence is what makes one global Simulator and K per-partition
-    Simulators (whose ``seq`` counters advance differently) dispatch
-    same-instant events identically.  ``seq`` still breaks the remaining
-    ties (same lane = same (src, dst) pair = per-pair FIFO).  The
-    zero-delay FIFOs hold tuples of the same shape (always lane 0 — a
-    laned zero-delay schedule is routed to the heap), and every pop takes
-    the lexicographically-smallest tuple across all three containers, so
-    the fast path is order-equivalent to the pure-heap kernel.
+    The heap holds ``(time, priority, seq, event)`` tuples; the zero-delay
+    FIFOs hold tuples of the same shape, and every pop takes the
+    lexicographically-smallest tuple across all three containers, so the
+    fast path is order-equivalent to the pure-heap kernel.
+
+    Wire deliveries carry a *lane* as well, a stable value derived from
+    the (src, dst) pair (see :func:`repro.network.message.delivery_lane`):
+    ties at one instant resolve by *content* — local events first, then
+    deliveries in ``(lane, seq)`` order — independent of heap insertion
+    order.  That independence is what makes one global Simulator and K
+    per-partition Simulators (whose ``seq`` counters advance differently)
+    dispatch same-instant events identically; ``seq`` only breaks ties
+    within one lane (same (src, dst) pair = per-pair FIFO).  Deliveries
+    do not get a heap entry each: :meth:`deliver` files them in the one
+    :class:`_Instant` of their arrival instant.
     """
 
     def __init__(self) -> None:
@@ -83,6 +143,7 @@ class Simulator:
         self._peak_pending: int = 0
         self._timer_pool: list = []
         self._kick_pool: list = []
+        self._instants: dict = {}    # arrival instant -> its _Instant
         #: Cooperative break for :meth:`run_window`: a callback fired
         #: mid-window (e.g. "my last local process completed") sets this
         #: to make the window loop return early.  The caller owns
@@ -96,8 +157,15 @@ class Simulator:
 
     # -- introspection --------------------------------------------------
     @property
+    def events_processed(self) -> int:
+        """Events dispatched so far (an instant's deliveries count once
+        per dispatch of their shared entry; swept tombstones not at all)."""
+        return self._nprocessed
+
+    @property
     def pending_events(self) -> int:
-        """Scheduled-but-unpopped events (tombstones included)."""
+        """Scheduled-but-unpopped heap and FIFO entries (tombstones
+        included; an instant's deliveries count once)."""
         return self._npending
 
     @property
@@ -115,27 +183,26 @@ class Simulator:
         return t
 
     # -- scheduling ---------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1,
-                  lane: int = 0) -> None:
+    def _schedule(self, event: Event, delay: float = 0.0,
+                  priority: int = 1) -> None:
         self._seq += 1
-        if delay == 0.0 and lane == 0:
+        if delay == 0.0:
             if priority == 0:
-                self._imm0.append((self.now, 0, 0, self._seq, event))
+                self._imm0.append((self.now, 0, self._seq, event))
             elif priority == 1:
-                self._imm1.append((self.now, 1, 0, self._seq, event))
+                self._imm1.append((self.now, 1, self._seq, event))
             else:
                 heapq.heappush(self._heap,
-                               (self.now, priority, 0, self._seq, event))
+                               (self.now, priority, self._seq, event))
         else:
             heapq.heappush(self._heap,
-                           (self.now + delay, priority, lane, self._seq, event))
+                           (self.now + delay, priority, self._seq, event))
         n = self._npending + 1
         self._npending = n
         if n > self._peak_pending:
             self._peak_pending = n
 
-    def _schedule_at(self, event: Event, t: float, priority: int = 1,
-                     lane: int = 0) -> None:
+    def _schedule_at(self, event: Event, t: float, priority: int = 1) -> None:
         """Schedule ``event`` at the *absolute* instant ``t``.
 
         ``_schedule(ev, t - now)`` stores ``now + (t - now)``, which under
@@ -145,21 +212,37 @@ class Simulator:
         it schedules by absolute time.  ``t`` must be ``>= now``.
         """
         self._seq += 1
-        heapq.heappush(self._heap, (t, priority, lane, self._seq, event))
+        self._push((t, priority, self._seq, event))
+
+    def _push(self, entry: tuple) -> None:
+        heapq.heappush(self._heap, entry)
         n = self._npending + 1
         self._npending = n
         if n > self._peak_pending:
             self._peak_pending = n
 
-    def timeout(self, delay: float, value: Any = None,
-                lane: int = 0) -> Timeout:
-        """An event firing after ``delay`` simulated seconds.
+    def deliver(self, delay: float, lane: int,
+                fn: Callable[[Any], None], arg: Any) -> None:
+        """Call ``fn(arg)`` after ``delay`` simulated seconds, as a wire
+        delivery on ``lane`` (``>= 1``; see the class docstring).
 
-        ``lane`` is the same-instant arbitration lane (0 for ordinary
-        local events; wire deliveries pass their (src, dst) lane so ties
-        resolve insertion-order-independently).
+        Same-instant deliveries share one :class:`_Instant` heap entry
+        and dispatch exactly as one laned timeout each would: after the
+        instant's local events, in ``(lane, seq)`` order.
         """
-        return Timeout(self, delay, value, lane=lane)
+        if delay < 0:
+            raise ValueError(f"negative delivery delay: {delay}")
+        t = self.now + delay
+        self._seq += 1
+        instant = self._instants.get(t)
+        if instant is None:
+            instant = self._instants[t] = _Instant(self, t)
+            self._push((t, 1, _LAST, instant))
+        heapq.heappush(instant.items, (lane, self._seq, fn, arg))
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        """An event firing after ``delay`` simulated seconds."""
+        return Timeout(self, delay, value)
 
     def timer(self, delay: float, value: Any = None) -> Timer:
         """A cancellable deadline, drawn from the kernel's free-list.
@@ -239,7 +322,7 @@ class Simulator:
         pool = self._timer_pool
         live = []
         for entry in heap:
-            ev = entry[4]
+            ev = entry[3]
             if ev.state is CANCELLED:
                 if type(ev) is Timer and len(pool) < _POOL_MAX:
                     ev.value = None
@@ -255,7 +338,7 @@ class Simulator:
 
     # -- execution ------------------------------------------------------
     def step(self) -> None:
-        """Process the next event (lowest ``(time, priority, lane, seq)``)."""
+        """Process the next event (lowest ``(time, priority, seq)``)."""
         imm0, imm1, heap = self._imm0, self._imm1, self._heap
         best = imm0[0] if imm0 else None
         use = 0
@@ -270,7 +353,7 @@ class Simulator:
             entry = imm1.popleft()
         else:
             entry = imm0.popleft()
-        when, _prio, _lane, _seq, event = entry
+        when, _prio, _seq, event = entry
         self._npending -= 1
         self.now = when
         if event.state is CANCELLED:
@@ -295,7 +378,7 @@ class Simulator:
         twice per event; with multi-window grants this *is* the worker
         hot loop, so the peek and the pop are fused here.  Selection
         order is identical to :meth:`step` (lexicographically smallest
-        ``(time, priority, lane, seq)`` across the FIFOs and the heap).
+        ``(time, priority, seq)`` across the FIFOs and the heap).
 
         Returns the number of distinct grid-aligned windows of width
         ``grid`` that contained at least one processed event (0 when
@@ -328,7 +411,7 @@ class Simulator:
                 imm1.popleft()
             else:
                 imm0.popleft()
-            when, _prio, _lane, _seq, event = best
+            when, _prio, _seq, event = best
             self._npending -= 1
             self.now = when
             if event.state is CANCELLED:

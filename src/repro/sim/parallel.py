@@ -307,9 +307,8 @@ class Transit:
         # Same lane as a direct fabric delivery: cross-cut copies tie-break
         # against local events identically in serial-with-map and windowed
         # runs.
-        self.sim.timeout(final - self.sim.now,
-                         lane=delivery_lane(src_id, dst_id)).add_callback(
-            lambda _e, d=dst, m=msg: fabric._deliver_copy(d, m))
+        self.sim.deliver(final - self.sim.now, delivery_lane(src_id, dst_id),
+                         fabric._deliver_copy, (dst, msg))
 
     # -- reporting ------------------------------------------------------
     def cross_matrix(self) -> Dict[str, List[int]]:
@@ -384,7 +383,7 @@ class _Worker:
             if op == "result":
                 return {
                     "result": self.program.result(),
-                    "events": self.sim._nprocessed,
+                    "events": self.sim.events_processed,
                     "peak_pending": self.sim._peak_pending,
                     "clock": self.sim.now,
                     "busy_wall_s": self.busy_wall,
@@ -401,7 +400,7 @@ class _Worker:
         shared-memory descriptor."""
         done = self._mode != "procs" or self._open == 0
         return ("s", self.sim.next_event_time(), done, self._done_t,
-                stop_t, wexec, self.sim._nprocessed,
+                stop_t, wexec, self.sim.events_processed,
                 self.transit.flush_outbox())
 
     def _start_phase(self, idx: int, t_start: float) -> tuple:
